@@ -5,14 +5,14 @@ rational coefficients throughout; verifies cocycle conditions, closed-form
 expansions, deformed Hopf data and the underlying binomial identities.
 """
 
-from .exactalg import DPoly, Rational, UPoly, binom_poly
+from .exactalg import DPoly, UPoly, binom_poly
 from .borel import (TensorElement, conjugate, exp_series, first_difference,
                     geometric_inverse, log1p_series, series_apply)
 from .report import VerificationReport
 from .twists import TwistSpec, build_target, build_twist, twist
 
 __all__ = [
-    "DPoly", "Rational", "UPoly", "binom_poly",
+    "DPoly", "UPoly", "binom_poly",
     "TensorElement", "conjugate", "exp_series", "first_difference",
     "geometric_inverse", "log1p_series", "series_apply",
     "VerificationReport", "TwistSpec", "build_target", "build_twist", "twist",

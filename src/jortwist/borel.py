@@ -17,9 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactalg import DPoly, UPoly, binom_poly
-
-MAX_LEGS = 3
+from .exactalg import MAX_LEGS, DPoly, UPoly, binom_poly
 
 
 def _key_grade(key):
@@ -162,14 +160,15 @@ class TensorElement:
         by_offset = {}
         for kb, db in other.terms.items():
             offsets = tuple(-(p + q) for p, q in kb)
-            by_offset.setdefault(offsets, []).append((kb, db))
+            by_offset.setdefault(offsets, []).append((_key_grade(kb), kb, db))
         for ka, da in self.terms.items():
-            ga = _key_grade(ka)
+            room = N - _key_grade(ka)
             for offsets, entries in by_offset.items():
+                kept = [(kb, db) for gb, kb, db in entries if gb <= room]
+                if not kept:
+                    continue
                 shifted = da.shift(offsets)
-                for kb, db in entries:
-                    if ga + _key_grade(kb) > N:
-                        continue
+                for kb, db in kept:
                     key = tuple((pa + pb, qa + qb)
                                 for (pa, qa), (pb, qb) in zip(ka, kb))
                     d = shifted * db

@@ -129,6 +129,16 @@ def _parse_u(text):
         raise argparse.ArgumentTypeError("bad rational %r: %s" % (text, exc))
 
 
+def _nonneg_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,))
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="jortwist",
@@ -146,7 +156,7 @@ def _build_parser():
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--form", default="auto",
                    choices=("auto",) + twists.FORMS)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_nonneg_int, required=True)
     p.add_argument("--u", type=_parse_u, default=None,
                    help="'symbolic' (default) or a rational like 1/2")
     common_output(p)
@@ -157,16 +167,16 @@ def _build_parser():
                    choices=("normalization", "cocycle", "inverse",
                             "endpoints", "forms", "hopf", "lr", "vfamily"))
     p.add_argument("--family", choices=("L", "R"))
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=_nonneg_int)
     p.add_argument("--u", type=_parse_u, default=None)
     common_output(p)
 
     p = sub.add_parser("identities", help="verify the binomial identities")
     p.add_argument("--bigident", action="store_true")
     p.add_argument("--chain", choices=("L", "R"))
-    p.add_argument("--det", type=int, metavar="N",
+    p.add_argument("--det", type=_nonneg_int, metavar="N",
                    help="print the independence determinant for order N")
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=_nonneg_int)
     common_output(p)
     return parser
 
@@ -237,8 +247,6 @@ def _cmd_verify(args, parser):
 
 def _cmd_identities(args, parser):
     if args.det is not None:
-        if args.det < 0:
-            parser.error("--det needs a nonnegative order")
         det = identities.independence_det(args.det)
         _emit(str(det), args.out)
         return 0

@@ -8,10 +8,9 @@ point anywhere in this package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-
-Rational = Fraction
 
 MAX_LEGS = 3
 VAR_NAMES = ("x", "y", "z")
@@ -301,33 +300,42 @@ class DPoly:
             res = res * self
         return res
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=NEG_INF)
-
     def substitute_linear(self, scales, offsets):
-        """Replace each variable x_i by scales[i]*x_i + offsets[i]."""
+        """Replace each variable x_i by scales[i]*x_i + offsets[i].
+
+        Each factor (s*x + c)^e is expanded once per call into its terms
+        (j, C(e, j) * s^j * c^(e-j)); a term's image is the product of
+        these lists across the legs, scaling its u-coefficients.
+        """
         scales = [_as_fraction(s) for s in scales]
         offsets = [_as_fraction(c) for c in offsets]
-        out = DPoly(self.legs)
+        expansions = [{} for _ in range(self.legs)]
+        acc = {}
         for exps, coef in self.terms.items():
-            term = DPoly.const(self.legs, coef)
+            factors = []
             for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if scales[i] == 1 and offsets[i] == 0:
-                    factor = DPoly(self.legs, {
-                        tuple(e if j == i else 0 for j in range(self.legs)): 1})
-                else:
-                    # (s*x + c)^e expanded binomially
-                    factor = DPoly(self.legs)
-                    for j in range(e + 1):
-                        coeff = math.comb(e, j) * scales[i]**j * offsets[i]**(e - j)
-                        if coeff:
-                            key = tuple(j if k == i else 0 for k in range(self.legs))
-                            factor = factor + DPoly(self.legs, {key: coeff})
-                term = term * factor
-            out = out + term
-        return out
+                table = expansions[i].get(e)
+                if table is None:
+                    s, c = scales[i], offsets[i]
+                    table = [(j, math.comb(e, j) * s**j * c**(e - j))
+                             for j in range(e + 1)]
+                    table = expansions[i][e] = [t for t in table if t[1]]
+                factors.append(table)
+            for combo in itertools.product(*factors):
+                scalar = 1
+                for _, k in combo:
+                    scalar *= k
+                out = acc.setdefault(tuple(j for j, _ in combo), {})
+                for deg, v in coef.coeffs.items():
+                    out[deg] = out.get(deg, 0) + v * scalar
+        res = DPoly(self.legs)
+        for exps, coeffs in acc.items():
+            coeffs = {deg: c for deg, c in coeffs.items() if c}
+            if coeffs:
+                up = UPoly()
+                up.coeffs = coeffs
+                res.terms[exps] = up
+        return res
 
     def shift(self, offsets):
         """Replace each variable x_i by x_i + offsets[i]."""

@@ -83,6 +83,36 @@ class TestNormalMul:
                     conv = conv + a.grade_slice(i) * b.grade_slice(n - i)
                 assert conv == (a * b).grade_slice(n)
 
+    def test_products_above_truncation_are_pruned(self, monkeypatch):
+        x = DPoly.variable(1, 1)
+        left = {((0, 0),): x**2 + 1, ((3, 0),): x * UPoly.u()}
+        # offset groups -2 and -3 hold only grade-2 entries, group -1 a
+        # grade-0 one; the grade-3 left term may meet only the latter
+        right = {((2, 0),): x - 3, ((2, 1),): x**2, ((0, 1),): x + UPoly.u()}
+        a, b = TensorElement(1, N, left), TensorElement(1, N, right)
+
+        calls = []
+        shift = DPoly.shift
+
+        def counting_shift(d, offsets):
+            calls.append((d, offsets))
+            return shift(d, offsets)
+
+        monkeypatch.setattr(DPoly, "shift", counting_shift)
+        product = a * b
+        monkeypatch.undo()
+
+        grade_of = {id(d): sum(p for p, _ in k) for k, d in a.terms.items()}
+        made = sorted((grade_of[id(d)], offsets) for d, offsets in calls)
+        assert made == [(0, (-3,)), (0, (-2,)), (0, (-1,)), (3, (-1,))]
+
+        high = TensorElement(1, N + 2, left) * TensorElement(1, N + 2, right)
+        truncated = TensorElement.zero(1, N + 2)
+        for n in range(N + 1):
+            truncated = truncated + high.grade_slice(n)
+        assert high.grade_slice(N + 1) != TensorElement.zero(1, N + 2)
+        assert product.terms == truncated.terms
+
 
 class TestSeries:
     def test_exp_of_zero(self):

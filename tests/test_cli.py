@@ -143,6 +143,19 @@ class TestIdentities:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--family", "L", "--order", "-1"],
+    ["verify", "--check", "cocycle", "--family", "L", "--order", "-1"],
+    ["identities", "--bigident", "--bound", "-1"],
+    ["identities", "--chain", "L", "--bound", "-1"],
+])
+def test_negative_order_or_bound_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
 class TestSerialization:
     def test_round_trip_random_forms(self):
         for fam, direction in (("L", "twist"), ("R", "inverse"),

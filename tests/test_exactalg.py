@@ -103,6 +103,54 @@ class TestSplitVariable:
             var(3, 1).split_variable(1)
 
 
+class TestSubstituteLinear:
+    """Property tests of the reordering kernel on random symbolic-u DPolys,
+    against evaluation, which shares none of its code."""
+
+    @staticmethod
+    def random_case(rng):
+        legs = rng.randint(1, 3)
+        p = random_dpoly(rng, legs, max_deg=3, max_terms=4)
+        scales = [rng.choice((1, -1)) for _ in range(legs)]
+        offsets = [rng.randint(-3, 3) for _ in range(legs)]
+        return p, scales, offsets
+
+    def test_matches_evaluation_oracle(self, rng):
+        for _ in range(40):
+            p, scales, offsets = self.random_case(rng)
+            q = p.substitute_linear(scales, offsets)
+            for _ in range(3):
+                x = [rng.randint(-4, 4) for _ in scales]
+                u0 = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                image = [s * xi + c for s, xi, c in zip(scales, x, offsets)]
+                assert q.evaluate(x, u0) == p.evaluate(image, u0)
+
+    def test_shift_composes(self, rng):
+        for _ in range(40):
+            p, _, a = self.random_case(rng)
+            b = [rng.randint(-3, 3) for _ in a]
+            ab = [i + j for i, j in zip(a, b)]
+            assert p.shift(a).shift(b) == p.shift(ab)
+
+    def test_zero_shift_returns_self(self, rng):
+        for _ in range(10):
+            p, _, offsets = self.random_case(rng)
+            assert p.shift([0] * len(offsets)) is p
+
+    def test_antipode_substitution_is_an_involution(self, rng):
+        # the antipode maps f(D) to f(-D + a + b) on a 1-leg term
+        for _ in range(30):
+            p = random_dpoly(rng, 1, max_deg=4, max_terms=4)
+            a = [rng.randint(0, 4)]
+            assert p.substitute_linear([-1], a).substitute_linear([-1], a) == p
+
+    def test_zero_coefficients_dropped(self):
+        # (x + 1)^2 - 2(x + 1) = x^2 - 1: the linear terms cancel
+        x = var(1, 1)
+        q = (x**2 - 2 * x).shift([1])
+        assert q.terms == {(2,): UPoly.const(1), (0,): UPoly.const(-1)}
+
+
 class TestEvaluate:
     def test_polynomial_point(self):
         x, y = var(2, 1), var(2, 2)
