@@ -139,6 +139,14 @@ def _nonneg_int(text):
     return value
 
 
+def _verify_order(text):
+    value = _nonneg_int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(
+            "must be at least 1: at order 0 every twist is 1 (x) 1")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="jortwist",
@@ -160,24 +168,26 @@ def _build_parser():
     p.add_argument("--u", type=_parse_u, default=None,
                    help="'symbolic' (default) or a rational like 1/2")
     common_output(p)
+    p.set_defaults(run=_cmd_expand)
 
     p = sub.add_parser("verify", help="run twist verification checks")
     p.add_argument("--all", action="store_true", dest="run_all")
     p.add_argument("--check", action="append", dest="checks",
-                   choices=("normalization", "cocycle", "inverse",
-                            "endpoints", "forms", "hopf", "lr", "vfamily"))
+                   choices=tuple(twists.CHECKS))
     p.add_argument("--family", choices=("L", "R"))
-    p.add_argument("--order", type=_nonneg_int)
+    p.add_argument("--order", type=_verify_order)
     p.add_argument("--u", type=_parse_u, default=None)
     common_output(p)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("identities", help="verify the binomial identities")
     p.add_argument("--bigident", action="store_true")
     p.add_argument("--chain", choices=("L", "R"))
     p.add_argument("--det", type=_nonneg_int, metavar="N",
-                   help="print the independence determinant for order N")
+                   help="check the independence determinant for order N")
     p.add_argument("--bound", type=_nonneg_int)
     common_output(p)
+    p.set_defaults(run=_cmd_identities)
     return parser
 
 
@@ -219,15 +229,13 @@ def _emit_reports(reports, args):
 # ---------------------------------------------------------------------------
 
 def _cmd_expand(args, parser):
-    form = args.form
     direction = "inverse" if args.inverse else "twist"
-    if form == "auto":
+    if args.form == "auto":
         element = twists.twist(args.family, direction, args.order, args.u)
     else:
-        spec = twists.TwistSpec(args.family, direction, form,
-                                args.order, args.u)
         try:
-            element = twists.build_twist(spec)
+            element = twists.build_twist(twists.TwistSpec(
+                args.family, direction, args.form, args.order, args.u))
         except ValueError as exc:
             parser.error(str(exc))
     if args.format == "json":
@@ -246,17 +254,13 @@ def _cmd_verify(args, parser):
 
 
 def _cmd_identities(args, parser):
-    if args.det is not None:
-        det = identities.independence_det(args.det)
-        _emit(str(det), args.out)
-        return 0
     reports = []
     if args.bigident:
-        reports.append(identities.run_bigident_suite(
-            args.bound if args.bound is not None
-            else identities.DEFAULT_BOUND_BIG))
+        reports.append(identities.run_bigident_suite(args.bound))
     if args.chain:
         reports.append(identities.verify_identity_chain(args.chain, args.bound))
+    if args.det is not None:
+        reports.append(identities.check_independence(args.det))
     if not reports:
         parser.error("give --bigident, --chain or --det")
     return _emit_reports(reports, args)
@@ -265,11 +269,7 @@ def _cmd_identities(args, parser):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "expand":
-        return _cmd_expand(args, parser)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    return _cmd_identities(args, parser)
+    return args.run(args, parser)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ from fractions import Fraction
 MAX_LEGS = 3
 VAR_NAMES = ("x", "y", "z")
 
-NEG_INF = float("-inf")
-
 
 def _as_fraction(value):
     if isinstance(value, Fraction):
@@ -63,12 +61,6 @@ class UPoly:
     @property
     def is_zero(self):
         return not self.coeffs
-
-    def degree(self):
-        return max(self.coeffs) if self.coeffs else NEG_INF
-
-    def constant_term(self):
-        return self.coeffs.get(0, Fraction(0))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -15,9 +15,7 @@ from fractions import Fraction
 from .exactalg import DPoly, UPoly, binom_poly, int_binom
 from .report import VerificationReport
 
-DEFAULT_BOUND_BIG = 4    # four-parameter identities
-DEFAULT_BOUND_CHAIN = 4  # left-family chain
-DEFAULT_BOUND_RCHAIN = 3
+DEFAULT_BOUNDS = {"bigident": 4, "L": 4, "R": 3}  # by suite or chain
 SAMPLE_COUNT = 20
 SAMPLE_SEED = 20201214
 
@@ -109,8 +107,9 @@ def verify_bigident_index_swap(k, l, A, C):
     return _instance("bigident-swap", {"k": k, "l": l, "A": A, "C": C}, lhs, rhs)
 
 
-def run_bigident_suite(bound=DEFAULT_BOUND_BIG):
-    reports = []
+def run_bigident_suite(bound=None):
+    if bound is None:
+        bound = DEFAULT_BOUNDS["bigident"]
     passed = True
     failure = None
     for k in range(bound + 1):
@@ -268,14 +267,12 @@ def _chain_R_instances(bound):
 
 def verify_identity_chain(chain, bound=None):
     """Run a full identity chain; returns a single report."""
-    if chain == "L":
-        instances = _chain_L_instances(
-            DEFAULT_BOUND_CHAIN if bound is None else bound)
-    elif chain == "R":
-        instances = _chain_R_instances(
-            DEFAULT_BOUND_RCHAIN if bound is None else bound)
-    else:
+    if chain not in ("L", "R"):
         raise ValueError("chain must be 'L' or 'R'")
+    if bound is None:
+        bound = DEFAULT_BOUNDS[chain]
+    instances = (_chain_L_instances if chain == "L"
+                 else _chain_R_instances)(bound)
     failure = None
     for inst in instances:
         if not inst.equal and failure is None:
@@ -301,7 +298,7 @@ def independence_matrix(n):
 
 
 def independence_det(n):
-    """Exact determinant of the change-of-basis matrix; |det| must be 1."""
+    """Exact determinant of the change-of-basis matrix (unimodular: +-1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = [row[:] for row in independence_matrix(n)]
@@ -321,6 +318,11 @@ def independence_det(n):
                 factor = m[r][col] * inv
                 for c in range(col, size):
                     m[r][c] -= factor * m[col][c]
-    if abs(det) != 1:
-        raise AssertionError("independence determinant has |det| != 1: %s" % det)
     return det
+
+
+def check_independence(n):
+    """The basis change at order n is unimodular: |det| = 1."""
+    det = independence_det(n)
+    return VerificationReport("independence", {"order": n}, abs(det) == 1,
+                              notes=["det = %s" % det])

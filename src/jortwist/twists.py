@@ -28,13 +28,6 @@ FORMS = ("product", "closed", "inverted-closed")
 TARGET_IDS = ("DL_p", "DL_D", "SL_p", "SL_D",
               "DR_p", "DR_D", "SR_p", "SR_D", "LRfactor")
 
-# default truncation orders for the standard suite
-DEFAULT_ORDER_COCYCLE = 5
-DEFAULT_ORDER_ENDPOINTS = 6
-DEFAULT_ORDER_HOPF = 4
-DEFAULT_ORDER_LR = 6
-DEFAULT_ORDER_VFAMILY = 5
-
 
 @dataclass(frozen=True)
 class TwistSpec:
@@ -62,37 +55,21 @@ def _ufactor(u, k, l):
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _closed_F0(N):
-    """F0 = sum_k (-P/kappa)^k (x) binom(-D, k)."""
+def _closed_F0(N, inverse=False):
+    """F0 = sum_k (-P/kappa)^k (x) binom(-D, k); F0^-1 has binom(D, k)."""
+    y = DPoly.variable(2, 2) if inverse else -DPoly.variable(2, 2)
     terms = {}
     for k in range(N + 1):
-        d = binom_poly(-DPoly.variable(2, 2), k) * Fraction((-1) ** k)
-        terms[((k, 0), (0, 0))] = d
+        terms[((k, 0), (0, 0))] = binom_poly(y, k) * Fraction((-1) ** k)
     return TensorElement(2, N, terms)
 
 
-def _closed_F0_inverse(N):
-    """F0^-1 = sum_k (-P/kappa)^k (x) binom(D, k)."""
-    terms = {}
-    for k in range(N + 1):
-        d = binom_poly(DPoly.variable(2, 2), k) * Fraction((-1) ** k)
-        terms[((k, 0), (0, 0))] = d
-    return TensorElement(2, N, terms)
-
-
-def _closed_F1(N):
-    """F1 = sum_l binom(-D, l) (x) (P/kappa)^l."""
+def _closed_F1(N, inverse=False):
+    """F1 = sum_l binom(-D, l) (x) (P/kappa)^l; F1^-1 has binom(D, l)."""
+    x = DPoly.variable(2, 1) if inverse else -DPoly.variable(2, 1)
     terms = {}
     for l in range(N + 1):
-        terms[((0, 0), (l, 0))] = binom_poly(-DPoly.variable(2, 1), l)
-    return TensorElement(2, N, terms)
-
-
-def _closed_F1_inverse(N):
-    """F1^-1 = sum_l binom(D, l) (x) (P/kappa)^l."""
-    terms = {}
-    for l in range(N + 1):
-        terms[((0, 0), (l, 0))] = binom_poly(DPoly.variable(2, 1), l)
+        terms[((0, 0), (l, 0))] = binom_poly(x, l)
     return TensorElement(2, N, terms)
 
 
@@ -132,14 +109,9 @@ def _closed_R_inverse(N, u=None):
 # product forms
 # ---------------------------------------------------------------------------
 
-def _dp_element(N):
-    """DP = P (D - 1), one unit of grade."""
-    return TensorElement(1, N, {((1, 0),): DPoly(1, {(1,): 1, (0,): -1})})
-
-
-def _pd_element(N):
-    """PD, one unit of grade."""
-    return TensorElement(1, N, {((1, 0),): DPoly(1, {(1,): 1})})
+def _cochain(N, c):
+    """P (D + c), one unit of grade: DP = P (D - 1) at c = -1, PD at c = 0."""
+    return TensorElement(1, N, {((1, 0),): DPoly(1, {(1,): 1, (0,): c})})
 
 
 def _neg_log_one_minus_p(N):
@@ -177,64 +149,62 @@ def _product_family(cochain, N, u=None, inverse=False):
 
 
 def _product_L(N, u=None, inverse=False):
-    return _product_family(_dp_element(N), N, u, inverse)
+    return _product_family(_cochain(N, -1), N, u, inverse)
 
 
 def _product_R(N, u=None, inverse=False):
-    return _product_family(_pd_element(N), N, u, inverse)
+    return _product_family(_cochain(N, 0), N, u, inverse)
 
 
 def build_vfamily(v, N):
     """Product form with cochain exponent DP + vP = P(D - 1 + v), at u = 1."""
-    v = Fraction(v)
-    cochain = TensorElement(1, N, {((1, 0),): DPoly(1, {(1,): 1, (0,): v - 1})})
-    return _product_family(cochain, N, u=1)
+    return _product_family(_cochain(N, Fraction(v) - 1), N, u=1)
 
 
 # ---------------------------------------------------------------------------
 # twist dispatch
 # ---------------------------------------------------------------------------
 
+# (family, direction, form) -> builder(N, u), for every form that builds;
+# family R's transcribed closed series is its inverse.  The entries call the
+# constructors by their module names, so that a wrapper installed on a
+# module attribute (a tracer, a mock) sees each call.
+_BUILDERS = {
+    ("0", "twist", "closed"): lambda N, u: _closed_F0(N),
+    ("0", "inverse", "closed"): lambda N, u: _closed_F0(N, inverse=True),
+    ("1", "twist", "closed"): lambda N, u: _closed_F1(N),
+    ("1", "inverse", "closed"): lambda N, u: _closed_F1(N, inverse=True),
+    ("L", "twist", "product"): lambda N, u: _product_L(N, u),
+    ("L", "inverse", "product"): lambda N, u: _product_L(N, u, inverse=True),
+    ("L", "twist", "closed"): lambda N, u: _closed_L(N, u),
+    ("L", "inverse", "inverted-closed"):
+        lambda N, u: geometric_inverse(_closed_L(N, u)),
+    ("R", "twist", "product"): lambda N, u: _product_R(N, u),
+    ("R", "inverse", "product"): lambda N, u: _product_R(N, u, inverse=True),
+    ("R", "inverse", "closed"): lambda N, u: _closed_R_inverse(N, u),
+    ("R", "twist", "inverted-closed"):
+        lambda N, u: geometric_inverse(_closed_R_inverse(N, u)),
+}
+
+
 def build_twist(spec):
     """Construct the twist described by a TwistSpec."""
-    family, direction, form = spec.family, spec.direction, spec.form
-    N, u = spec.order, spec.u
-    if family not in FAMILIES or direction not in DIRECTIONS or form not in FORMS:
-        raise ValueError("unknown family/direction/form in %r" % (spec,))
-    if family == "0":
-        if form != "closed":
-            raise ValueError("family 0 admits only the closed form")
-        return _closed_F0(N) if direction == "twist" else _closed_F0_inverse(N)
-    if family == "1":
-        if form != "closed":
-            raise ValueError("family 1 admits only the closed form")
-        return _closed_F1(N) if direction == "twist" else _closed_F1_inverse(N)
-    if family == "L":
-        if form == "product":
-            return _product_L(N, u, inverse=(direction == "inverse"))
-        if direction == "twist" and form == "closed":
-            return _closed_L(N, u)
-        if direction == "inverse" and form == "inverted-closed":
-            return geometric_inverse(_closed_L(N, u))
-        raise ValueError("family L has no %s %s form" % (direction, form))
-    # family R: the transcribed closed series is the inverse
-    if form == "product":
-        return _product_R(N, u, inverse=(direction == "inverse"))
-    if direction == "inverse" and form == "closed":
-        return _closed_R_inverse(N, u)
-    if direction == "twist" and form == "inverted-closed":
-        return geometric_inverse(_closed_R_inverse(N, u))
-    raise ValueError("family R has no %s %s form" % (direction, form))
+    builder = _BUILDERS.get((spec.family, spec.direction, spec.form))
+    if builder is None:
+        raise ValueError("family %s has no %s %s form"
+                         % (spec.family, spec.direction, spec.form))
+    return builder(spec.order, spec.u)
+
+
+def _series_form(family, direction):
+    """The closed form where the family has one, else the inverted one."""
+    closed = (family, direction, "closed") in _BUILDERS
+    return "closed" if closed else "inverted-closed"
 
 
 def twist(family, direction, N, u=None):
     """Canonical series-form twist (closed, or inverse of the closed form)."""
-    if family in ("0", "1"):
-        form = "closed"
-    elif family == "L":
-        form = "closed" if direction == "twist" else "inverted-closed"
-    else:
-        form = "closed" if direction == "inverse" else "inverted-closed"
+    form = _series_form(family, direction)
     return build_twist(TwistSpec(family, direction, form, N, u))
 
 
@@ -242,14 +212,14 @@ def twist(family, direction, N, u=None):
 # deformed Hopf-data targets
 # ---------------------------------------------------------------------------
 
+_PROBES = {"P": TensorElement.momentum_p, "Q": TensorElement.momentum_q,
+           "D": TensorElement.dilatation}
+
+
 def _probe(generator, N):
-    if generator == "P":
-        return TensorElement.momentum_p(N)
-    if generator == "Q":
-        return TensorElement.momentum_q(N)
-    if generator == "D":
-        return TensorElement.dilatation(N)
-    raise ValueError("unknown generator %r" % (generator,))
+    if generator not in _PROBES:
+        raise ValueError("unknown generator %r" % (generator,))
+    return _PROBES[generator](N)
 
 
 def lr_factor(N, u=None):
@@ -380,9 +350,8 @@ def check_cocycle(family, N, u=None, element=None, via_inverse=False):
                 decomposition_ok = False
         notes.append("per-order convolution decomposition %s"
                      % ("matches" if decomposition_ok else "DIFFERS"))
-    rep = _compare("cocycle", _params(family, N, u, via_inverse=via_inverse),
-                   lhs, rhs, notes)
-    return rep
+    return _compare("cocycle", _params(family, N, u, via_inverse=via_inverse),
+                    lhs, rhs, notes)
 
 
 def check_inverse_pair(family, N, u=None):
@@ -425,9 +394,9 @@ def check_endpoints(family, N):
                  ["u=0: twist equals F0"]),
         _compare("endpoints", {}, at1, _closed_F1(N),
                  ["u=1: twist equals F1"]),
-        _compare("endpoints", {}, inv0, _closed_F0_inverse(N),
+        _compare("endpoints", {}, inv0, _closed_F0(N, inverse=True),
                  ["u=0: inverse equals F0^-1"]),
-        _compare("endpoints", {}, inv1, _closed_F1_inverse(N),
+        _compare("endpoints", {}, inv1, _closed_F1(N, inverse=True),
                  ["u=1: inverse equals F1^-1"]),
     ]
     return merge_reports("endpoints", _params(family, N), reps)
@@ -437,10 +406,9 @@ def check_form_equality(family, N, u=None):
     """Product-form construction equals the closed-form series."""
     if family not in ("L", "R"):
         raise ValueError("form-equality check applies to families L and R")
-    if family == "L":
-        pairs = [("twist", "closed"), ("inverse", "inverted-closed")]
-    else:
-        pairs = [("inverse", "closed"), ("twist", "inverted-closed")]
+    # the transcribed closed series first, then the inverted one
+    pairs = sorted(((d, _series_form(family, d)) for d in DIRECTIONS),
+                   key=lambda pair: pair[1])
     reps = []
     for direction, series_form in pairs:
         prod = build_twist(TwistSpec(family, direction, "product", N, u))
@@ -502,10 +470,8 @@ def check_LR_u1(N):
 
 def check_v_family(v, N):
     """Every cochain exponent DP + vP reproduces F1 at u = 1."""
-    built = build_vfamily(v, N)
-    rep = _compare("v-family", _params(None, N, Fraction(1), v=Fraction(v)),
-                   built, _closed_F1(N))
-    return rep
+    return _compare("v-family", _params(None, N, Fraction(1), v=Fraction(v)),
+                    build_vfamily(v, N), _closed_F1(N))
 
 
 # ---------------------------------------------------------------------------
@@ -525,49 +491,38 @@ def mutate_coefficient(element, key, exps, delta):
 # standard suite
 # ---------------------------------------------------------------------------
 
+# name: (default order, run(families, N, u) -> reports), in suite order.
+# The entries call the checks by their module names (see _BUILDERS).
+CHECKS = {
+    "normalization": (4, lambda families, N, u: [
+        check_normalization(f, N, u) for f in families]),
+    "cocycle": (5, lambda families, N, u: [
+        check_cocycle(f, N, u, via_inverse=(f == "R")) for f in families]),
+    "inverse": (6, lambda families, N, u: [
+        check_inverse_pair(f, N, u) for f in families]),
+    "endpoints": (6, lambda families, N, u: [
+        check_endpoints(f, N) for f in families]),
+    "forms": (5, lambda families, N, u: [
+        check_form_equality(f, N, u) for f in families]),
+    "hopf": (4, lambda families, N, u: [
+        check_hopf_data(f, g, N, u) for f in families for g in "PQD"]),
+    "lr": (6, lambda families, N, u: [
+        check_LR_relation(N, u), check_LR_u1(N)]),
+    "vfamily": (5, lambda families, N, u: [
+        check_v_family(v, N) for v in (-2, 0, Fraction(1, 2))]),
+}
+
+
 def run_suite(checks=None, order=None, family=None, u=None):
-    """Run the named checks (default: all) and return the reports in order."""
-    selected = list(checks) if checks else [
-        "normalization", "cocycle", "inverse", "endpoints", "forms",
-        "hopf", "lr", "vfamily"]
+    """Run the named checks of CHECKS (default: all) and return the reports
+    in order; each check runs at `order`, or at its own default order."""
+    selected = list(checks or CHECKS)
+    unknown = [name for name in selected if name not in CHECKS]
+    if unknown:
+        raise ValueError("unknown check(s) %s" % ", ".join(map(repr, unknown)))
     families = [family] if family else ["L", "R"]
     reports = []
     for name in selected:
-        if name == "normalization":
-            for fam in families:
-                reports.append(check_normalization(
-                    fam, order if order is not None else DEFAULT_ORDER_HOPF, u))
-        elif name == "cocycle":
-            N = order if order is not None else DEFAULT_ORDER_COCYCLE
-            for fam in families:
-                via = fam == "R"
-                reports.append(check_cocycle(fam, N, u, via_inverse=via))
-        elif name == "inverse":
-            N = order if order is not None else DEFAULT_ORDER_ENDPOINTS
-            for fam in families:
-                reports.append(check_inverse_pair(fam, N, u))
-        elif name == "endpoints":
-            N = order if order is not None else DEFAULT_ORDER_ENDPOINTS
-            for fam in families:
-                reports.append(check_endpoints(fam, N))
-        elif name == "forms":
-            N = order if order is not None else DEFAULT_ORDER_COCYCLE
-            for fam in families:
-                reports.append(check_form_equality(fam, N, u))
-        elif name == "hopf":
-            N = order if order is not None else DEFAULT_ORDER_HOPF
-            for fam in families:
-                for gen in ("P", "Q", "D"):
-                    reports.append(check_hopf_data(fam, gen, N, u))
-        elif name == "lr":
-            reports.append(check_LR_relation(
-                order if order is not None else DEFAULT_ORDER_LR, u))
-            reports.append(check_LR_u1(
-                order if order is not None else DEFAULT_ORDER_LR))
-        elif name == "vfamily":
-            N = order if order is not None else DEFAULT_ORDER_VFAMILY
-            for v in (Fraction(-2), Fraction(0), Fraction(1, 2)):
-                reports.append(check_v_family(v, N))
-        else:
-            raise ValueError("unknown check %r" % (name,))
+        default_order, run = CHECKS[name]
+        reports += run(families, default_order if order is None else order, u)
     return reports

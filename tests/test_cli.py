@@ -1,9 +1,10 @@
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
-from jortwist import cli, twists
+from jortwist import cli, identities, twists
 from jortwist.cli import element_from_dict, element_to_dict, element_to_text
 from jortwist.report import VerificationReport
 
@@ -86,9 +87,24 @@ class TestExpand:
 class TestVerify:
     def test_single_check_passes(self, capsys):
         code, out = run(["verify", "--check", "cocycle", "--family", "L",
-                         "--order", "0"], capsys)
+                         "--order", "1"], capsys)
         assert code == 0
         assert "cocycle" in out and "pass" in out
+
+    def test_order_zero_is_a_usage_error(self, capsys):
+        # at order 0 every twist is 1 (x) 1, so every check would pass
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--check", "lr", "--order", "0"])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_check_choices_are_the_registry(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        check = next(a for a in sub.choices["verify"]._actions
+                     if a.dest == "checks")
+        assert tuple(check.choices) == tuple(twists.CHECKS)
 
     def test_endpoints_report_cites_both_limits(self, capsys):
         code, out = run(["verify", "--check", "endpoints", "--family", "L",
@@ -126,11 +142,49 @@ class TestIdentities:
 
     def test_det_zero(self, capsys):
         code, out = run(["identities", "--det", "0"], capsys)
-        assert code == 0 and out.strip() == "1"
+        assert code == 0
+        assert out.splitlines() == ["independence   pass order=0",
+                                    "    note: det = 1"]
 
     def test_det_one(self, capsys):
         code, out = run(["identities", "--det", "1"], capsys)
-        assert code == 0 and out.strip() == "-1"
+        assert code == 0
+        assert out.splitlines() == ["independence   pass order=1",
+                                    "    note: det = -1"]
+
+    def test_det_json_with_other_suites(self, capsys):
+        code, out = run(["identities", "--chain", "R", "--bound", "1",
+                         "--det", "2", "--format", "json"], capsys)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["check"] for r in reports] == ["chain-R", "independence"]
+        assert reports[1]["params"] == {"order": "2"}
+        assert reports[1]["notes"] == ["det = -1"]
+        assert reports[1]["status"] == "pass"
+
+    def test_det_not_unimodular_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.identities, "independence_det",
+                            lambda n: Fraction(2))
+        code, out = run(["identities", "--det", "3"], capsys)
+        assert code == 1
+        assert "FAIL" in out and "det = 2" in out
+
+    def test_default_bound_is_reported(self, capsys):
+        code, out = run(["identities", "--chain", "R", "--format", "json"],
+                        capsys)
+        assert code == 0
+        assert json.loads(out)["reports"][0]["params"] == {"bound": "3"}
+
+    def test_every_default_bound_is_reported(self, capsys, monkeypatch):
+        # small defaults keep this fast; the CLI must not apply its own
+        for name in ("bigident", "L", "R"):
+            monkeypatch.setitem(identities.DEFAULT_BOUNDS, name, 1)
+        for argv in (["--bigident"], ["--chain", "L"], ["--chain", "R"]):
+            code, out = run(["identities", *argv, "--format", "json"],
+                            capsys)
+            assert code == 0
+            report, = json.loads(out)["reports"]
+            assert report["params"] == {"bound": "1"}
 
     def test_chain(self, capsys):
         code, out = run(["identities", "--chain", "L", "--bound", "2"],

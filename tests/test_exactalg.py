@@ -180,11 +180,6 @@ class TestEvaluate:
                     == a.evaluate(point, u0) + b.evaluate(point, u0))
 
 
-def test_upoly_degree_sentinel():
-    assert UPoly().degree() == float("-inf")
-    assert (u() ** 3).degree() == 3
-
-
 def test_upoly_no_stored_zeros():
     p = u() - u()
     assert p.coeffs == {}

@@ -278,6 +278,43 @@ class TestSpecializeCommutes:
         assert check_form_equality("L", 3, u0).passed
 
 
+# today's canonical series form of each (family, direction), written out
+CANONICAL_FORMS = {
+    ("0", "twist"): "closed", ("0", "inverse"): "closed",
+    ("1", "twist"): "closed", ("1", "inverse"): "closed",
+    ("L", "twist"): "closed", ("L", "inverse"): "inverted-closed",
+    ("R", "twist"): "inverted-closed", ("R", "inverse"): "closed",
+}
+
+UNBUILDABLE = [
+    (fam, direction, form)
+    for fam in ("0", "1") for direction in ("twist", "inverse")
+    for form in ("product", "inverted-closed")
+] + [("L", "inverse", "closed"), ("L", "twist", "inverted-closed"),
+     ("R", "twist", "closed"), ("R", "inverse", "inverted-closed")]
+
+
+@pytest.mark.parametrize("fam,direction", sorted(CANONICAL_FORMS))
+def test_twist_is_the_canonical_form(fam, direction):
+    form = CANONICAL_FORMS[fam, direction]
+    assert twist(fam, direction, 3) == build_twist(
+        TwistSpec(fam, direction, form, 3))
+
+
+@pytest.mark.parametrize("fam,direction,form", UNBUILDABLE)
+def test_unbuildable_form_raises(fam, direction, form):
+    with pytest.raises(ValueError, match="has no"):
+        build_twist(TwistSpec(fam, direction, form, 1))
+
+
+@pytest.mark.parametrize("name", list(twists.CHECKS))
+def test_every_registered_check_runs_at_the_given_order(name):
+    reports = run_suite(checks=[name], order=1)
+    assert reports
+    assert all(r.passed for r in reports)
+    assert all(r.params["order"] == 1 for r in reports)
+
+
 def test_run_suite_smoke():
     reports = run_suite(checks=["normalization", "lr"], order=2)
     assert all(r.passed for r in reports)
