@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import identities, twists
 from .borel import TensorElement
-from .exactalg import DPoly, UPoly
+from .exactalg import MAX_LEGS, DPoly, UPoly
 
 SCHEMA_VERSION = 1
 
@@ -49,19 +49,75 @@ def element_to_dict(e):
     }
 
 
+def _field(obj, key, kind, path):
+    """obj[key], which must be a `kind` (an int must be nonnegative); else
+    a ValueError naming the field `path`."""
+    try:
+        value = obj[key]
+    except (KeyError, IndexError, TypeError):
+        raise ValueError("%s: missing" % path) from None
+    if type(value) is not kind:  # JSON true is a bool, not an int
+        raise ValueError("%s: expected %s, got %r"
+                         % (path, kind.__name__, value))
+    if kind is int and value < 0:
+        raise ValueError("%s: must be nonnegative, got %d" % (path, value))
+    return value
+
+
+def _entries(obj, key, kind, path, count=None):
+    """(path[i], item) for the items of the list obj[key], each a `kind`,
+    and `count` of them when a count is given."""
+    items = _field(obj, key, list, path)
+    if count is not None and len(items) != count:
+        raise ValueError("%s: expected %d entries, got %d"
+                         % (path, count, len(items)))
+    paths = ["%s[%d]" % (path, i) for i in range(len(items))]
+    return [(at, _field(items, i, kind, at)) for i, at in enumerate(paths)]
+
+
+def _unique(key, seen, path):
+    if key in seen:
+        raise ValueError("%s: %r repeats an earlier entry" % (path, key))
+
+
 def element_from_dict(data):
+    """Inverse of element_to_dict.  Malformed data raises ValueError naming
+    the field at fault, e.g. terms[2].dpoly[0].exps."""
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object, got %r" % (data,))
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError("unsupported schema version %r" % data.get("schema"))
-    legs = data["legs"]
+    legs = _field(data, "legs", int, "legs")
+    if not 1 <= legs <= MAX_LEGS:
+        raise ValueError("legs: must be between 1 and %d, got %d"
+                         % (MAX_LEGS, legs))
+    truncation = _field(data, "truncation", int, "truncation")
     terms = {}
-    for t in data["terms"]:
-        key = tuple((leg["p"], leg["q"]) for leg in t["legs"])
+    for at, t in _entries(data, "terms", dict, "terms"):
+        key = tuple((_field(leg, "p", int, lat + ".p"),
+                     _field(leg, "q", int, lat + ".q"))
+                    for lat, leg in _entries(t, "legs", dict, at + ".legs",
+                                             legs))
         dterms = {}
-        for mono in t["dpoly"]:
-            coeffs = {deg: Fraction(c) for deg, c in mono["upoly"]}
-            dterms[tuple(mono["exps"])] = UPoly(coeffs)
+        for mat, mono in _entries(t, "dpoly", dict, at + ".dpoly"):
+            coeffs = {}
+            for cat, pair in _entries(mono, "upoly", list, mat + ".upoly"):
+                text = _field(pair, 1, str, cat + "[1]")
+                try:
+                    value = Fraction(text)
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError("%s[1]: bad fraction %r"
+                                     % (cat, text)) from None
+                deg = _field(pair, 0, int, cat + "[0]")
+                _unique(deg, coeffs, cat + "[0]")
+                coeffs[deg] = value
+            exps = _entries(mono, "exps", int, mat + ".exps", legs)
+            exps = tuple(e for _, e in exps)
+            _unique(exps, dterms, mat + ".exps")
+            dterms[exps] = UPoly(coeffs)
+        _unique(key, terms, at + ".legs")
         terms[key] = DPoly(legs, dterms)
-    return TensorElement(legs, data["truncation"], terms)
+    return TensorElement(legs, truncation, terms)
 
 
 _SYMBOLS = {"kappa": "κ", "otimes": "⊗", "dot": " · "}
@@ -248,6 +304,12 @@ def _cmd_expand(args, parser):
 def _cmd_verify(args, parser):
     if not args.run_all and not args.checks:
         parser.error("give --all or at least one --check")
+    names = twists.CHECKS if args.run_all else args.checks
+    for opt in ("family", "u"):
+        if (getattr(args, opt) is not None
+                and not any(opt in twists.CHECKS[n][1] for n in names)):
+            parser.error("--%s applies to none of the checks %s"
+                         % (opt, ", ".join(dict.fromkeys(names))))
     reports = twists.run_suite(checks=None if args.run_all else args.checks,
                                order=args.order, family=args.family, u=args.u)
     return _emit_reports(reports, args)

@@ -359,18 +359,30 @@ class DPoly:
         return out
 
     def evaluate(self, point, u_value=0):
-        """Exact value at a rational point (one entry per variable)."""
+        """Exact value at a rational point (one entry per variable).
+
+        The sum runs in integers over one common denominator.  With
+        x_i = a_i/b_i, u = p/q, m_i the top exponent of leg i, n the top
+        u-degree and L the lcm of the coefficient denominators, the term
+        c u^d prod x_i^e_i contributes c*L * p^d q^(n-d) * prod a_i^e_i
+        b_i^(m_i-e_i) over the denominator L q^n prod b_i^m_i.
+        """
         if len(point) != self.legs:
             raise ValueError("point must assign every variable")
-        point = [_as_fraction(v) for v in point]
-        u_value = _as_fraction(u_value)
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            val = coef(u_value)
-            for v, e in zip(point, exps):
-                val *= v**e
-            total += val
-        return total
+        coefs = [c.coeffs for c in self.terms.values()]
+        tops = [max(col) for col in zip(*self.terms)] or [0] * self.legs
+        n = max(map(max, coefs), default=0)
+        L = math.lcm(*{x.denominator for c in coefs for x in c.values()})
+        u_table = _ratio_powers(u_value, n)
+        tables = [_ratio_powers(v, m) for v, m in zip(point, tops)]
+        total = 0
+        for exps, c in zip(self.terms, coefs):
+            s = 0
+            for d, x in c.items():
+                s += x.numerator * (L // x.denominator) * u_table[d]
+            total += s * math.prod(map(list.__getitem__, tables, exps))
+        den = L * u_table[0] * math.prod([t[0] for t in tables])
+        return Fraction(total, den)
 
     def specialize_u(self, u0):
         res = DPoly(self.legs)
@@ -397,6 +409,18 @@ class DPoly:
                 cs = "(%s)" % cs
             parts.append("%s*%s" % (cs, mono) if mono else cs)
         return " + ".join(parts)
+
+
+def _ratio_powers(v, m):
+    """[a^e * b^(m-e) for e in 0..m] for v = a/b: the numerators of v^e
+    over the common denominator b^m, which is the first entry."""
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError("expected an integer or Fraction, got %r" % (v,))
+    a, b = v.numerator, v.denominator
+    out = [b**m]
+    for _ in range(m):
+        out.append(out[-1] // b * a)
+    return out
 
 
 def binom_poly(T, k):

@@ -3,7 +3,9 @@
 Everything here lives in the commutative world: polynomials in x, y (and z
 for the three-leg identity) with rational coefficients.  Each identity is
 checked twice: as a canonical polynomial equality and, as a guard against
-transcription slips, by evaluation at random integer points.
+transcription slips, by evaluation at seeded random integer points.  The
+points are drawn once per leg count, from a fresh random.Random(SAMPLE_SEED),
+so every instance with the same number of legs is sampled at the same points.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import DPoly, UPoly, binom_poly, int_binom
+from .exactalg import MAX_LEGS, DPoly, UPoly, binom_poly, int_binom
 from .report import VerificationReport
 
 DEFAULT_BOUNDS = {"bigident": 4, "L": 4, "R": 3}  # by suite or chain
@@ -29,17 +31,22 @@ class IdentityInstance:
     equal: bool
 
 
-def _sample_check(lhs, rhs, rng):
-    for _ in range(SAMPLE_COUNT):
-        point = [Fraction(rng.randint(-10, 10)) for _ in range(lhs.legs)]
-        if lhs.evaluate(point) != rhs.evaluate(point):
-            return False
-    return True
+def _draw_points(legs):
+    rng = random.Random(SAMPLE_SEED)
+    return tuple(tuple(rng.randint(-10, 10) for _ in range(legs))
+                 for _ in range(SAMPLE_COUNT))
+
+
+SAMPLE_POINTS = {legs: _draw_points(legs) for legs in range(1, MAX_LEGS + 1)}
+
+
+def _sample_check(lhs, rhs):
+    return all(lhs.evaluate(point) == rhs.evaluate(point)
+               for point in SAMPLE_POINTS[lhs.legs])
 
 
 def _instance(chain, params, lhs, rhs):
-    rng = random.Random(SAMPLE_SEED)
-    equal = lhs == rhs and _sample_check(lhs, rhs, rng)
+    equal = lhs == rhs and _sample_check(lhs, rhs)
     return IdentityInstance(chain, params, lhs, rhs, equal)
 
 

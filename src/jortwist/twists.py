@@ -491,38 +491,47 @@ def mutate_coefficient(element, key, exps, delta):
 # standard suite
 # ---------------------------------------------------------------------------
 
-# name: (default order, run(families, N, u) -> reports), in suite order.
-# The entries call the checks by their module names (see _BUILDERS).
+# name: (default order, options applied, run(families, N, u) -> reports), in
+# suite order; "family" and "u" are the options of run_suite a check can
+# apply.  The entries call the checks by their module names (see _BUILDERS).
 CHECKS = {
-    "normalization": (4, lambda families, N, u: [
+    "normalization": (4, ("family", "u"), lambda families, N, u: [
         check_normalization(f, N, u) for f in families]),
-    "cocycle": (5, lambda families, N, u: [
+    "cocycle": (5, ("family", "u"), lambda families, N, u: [
         check_cocycle(f, N, u, via_inverse=(f == "R")) for f in families]),
-    "inverse": (6, lambda families, N, u: [
+    "inverse": (6, ("family", "u"), lambda families, N, u: [
         check_inverse_pair(f, N, u) for f in families]),
-    "endpoints": (6, lambda families, N, u: [
+    "endpoints": (6, ("family",), lambda families, N, u: [
         check_endpoints(f, N) for f in families]),
-    "forms": (5, lambda families, N, u: [
+    "forms": (5, ("family", "u"), lambda families, N, u: [
         check_form_equality(f, N, u) for f in families]),
-    "hopf": (4, lambda families, N, u: [
+    "hopf": (4, ("family", "u"), lambda families, N, u: [
         check_hopf_data(f, g, N, u) for f in families for g in "PQD"]),
-    "lr": (6, lambda families, N, u: [
+    "lr": (6, ("u",), lambda families, N, u: [
         check_LR_relation(N, u), check_LR_u1(N)]),
-    "vfamily": (5, lambda families, N, u: [
+    "vfamily": (5, (), lambda families, N, u: [
         check_v_family(v, N) for v in (-2, 0, Fraction(1, 2))]),
 }
 
 
 def run_suite(checks=None, order=None, family=None, u=None):
     """Run the named checks of CHECKS (default: all) and return the reports
-    in order; each check runs at `order`, or at its own default order."""
+    in order; each check runs at `order`, or at its own default order.  A
+    report of a check that does not apply a given `family` or `u` carries
+    the note "family not applied" or "u not applied"."""
     selected = list(checks or CHECKS)
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
         raise ValueError("unknown check(s) %s" % ", ".join(map(repr, unknown)))
     families = [family] if family else ["L", "R"]
+    given = [opt for opt, value in (("family", family), ("u", u))
+             if value is not None]
     reports = []
     for name in selected:
-        default_order, run = CHECKS[name]
-        reports += run(families, default_order if order is None else order, u)
+        default_order, applied, run = CHECKS[name]
+        ignored = ["%s not applied" % opt for opt in given
+                   if opt not in applied]
+        for rep in run(families, default_order if order is None else order, u):
+            rep.notes += ignored
+            reports.append(rep)
     return reports

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,27 @@ class TestVerify:
         data = json.loads(out)
         assert all(r["status"] == "pass" for r in data["reports"])
 
+    def test_option_no_selected_check_applies_is_a_usage_error(self, capsys):
+        for argv in (["--family", "L", "--u", "1/2"], ["--u", "1/2"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", "--check", "vfamily", "--order", "1"]
+                         + argv)
+            assert exc.value.code == 2
+        assert "--u applies to none of the checks vfamily" in (
+            capsys.readouterr().err)
+
+    def test_option_a_check_does_not_apply_is_noted(self, capsys):
+        code, out = run(["verify", "--check", "cocycle", "--check", "lr",
+                         "--family", "L", "--u", "1/2", "--order", "1",
+                         "--format", "json"], capsys)
+        assert code == 0
+        notes = {(r["check"], r["params"].get("family")): r["notes"]
+                 for r in json.loads(out)["reports"]}
+        assert notes == {
+            ("cocycle", "L"): ["per-order convolution decomposition matches"],
+            ("lr-relation", None): ["family not applied"],
+            ("lr-u1", None): ["family not applied"]}
+
     def test_requires_selection(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify"])
@@ -191,6 +213,27 @@ class TestIdentities:
                         capsys)
         assert code == 0
 
+    def test_option_no_selected_check_applies_is_a_usage_error(self, capsys):
+        for argv in (["--family", "L", "--u", "1/2"], ["--u", "1/2"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", "--check", "vfamily", "--order", "1"]
+                         + argv)
+            assert exc.value.code == 2
+        assert "--u applies to none of the checks vfamily" in (
+            capsys.readouterr().err)
+
+    def test_option_a_check_does_not_apply_is_noted(self, capsys):
+        code, out = run(["verify", "--check", "cocycle", "--check", "lr",
+                         "--family", "L", "--u", "1/2", "--order", "1",
+                         "--format", "json"], capsys)
+        assert code == 0
+        notes = {(r["check"], r["params"].get("family")): r["notes"]
+                 for r in json.loads(out)["reports"]}
+        assert notes == {
+            ("cocycle", "L"): ["per-order convolution decomposition matches"],
+            ("lr-relation", None): ["family not applied"],
+            ("lr-u1", None): ["family not applied"]}
+
     def test_requires_selection(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["identities"])
@@ -224,6 +267,61 @@ class TestSerialization:
         data["schema"] = 99
         with pytest.raises(ValueError):
             element_from_dict(data)
+
+    def test_round_trip_is_byte_identical(self):
+        data = element_to_dict(twists.twist("L", "twist", 3))
+        text = json.dumps(data, indent=2)
+        assert json.dumps(element_to_dict(element_from_dict(json.loads(text))),
+                          indent=2) == text
+
+    @pytest.mark.parametrize("corrupt,field", [
+        (lambda d: d.pop("legs"), "legs: missing"),
+        (lambda d: d.update(legs=4), "legs: must be between 1 and 3"),
+        (lambda d: d.update(legs=True), "legs: expected int"),
+        (lambda d: d.pop("truncation"), "truncation: missing"),
+        (lambda d: d.update(truncation=-1), "truncation: must be nonneg"),
+        (lambda d: d.update(terms={}), "terms: expected list"),
+        (lambda d: d["terms"].__setitem__(1, 7), "terms[1]: expected dict"),
+        (lambda d: d["terms"][1]["legs"].pop(),
+         "terms[1].legs: expected 2 entries"),
+        (lambda d: d["terms"][1]["legs"][0].pop("q"), "terms[1].legs[0].q"),
+        (lambda d: d["terms"][1]["legs"][1].update(p=-1),
+         "terms[1].legs[1].p: must be nonnegative"),
+        (lambda d: d["terms"][1].pop("dpoly"), "terms[1].dpoly: missing"),
+        (lambda d: d["terms"][1]["dpoly"][0].pop("exps"),
+         "terms[1].dpoly[0].exps: missing"),
+        (lambda d: d["terms"][1]["dpoly"][0]["exps"].append(0),
+         "terms[1].dpoly[0].exps: expected 2 entries"),
+        (lambda d: d["terms"][1]["dpoly"][0]["exps"].__setitem__(1, 0.5),
+         "terms[1].dpoly[0].exps[1]: expected int"),
+        (lambda d: d["terms"][1]["dpoly"][0].update(upoly=None),
+         "terms[1].dpoly[0].upoly: expected list"),
+        (lambda d: d["terms"][1]["dpoly"][0]["upoly"][0].pop(),
+         "terms[1].dpoly[0].upoly[0][1]: missing"),
+        (lambda d: d["terms"][1]["dpoly"][0]["upoly"][0].__setitem__(0, "1"),
+         "terms[1].dpoly[0].upoly[0][0]: expected int"),
+        (lambda d: d["terms"][1]["dpoly"][0]["upoly"][0].__setitem__(1, "x"),
+         "terms[1].dpoly[0].upoly[0][1]: bad fraction 'x'"),
+        (lambda d: d["terms"][1]["dpoly"][0]["upoly"][0].__setitem__(1, "1/0"),
+         "terms[1].dpoly[0].upoly[0][1]: bad fraction '1/0'"),
+        (lambda d: d["terms"][1]["dpoly"][0]["upoly"][0].__setitem__(1, 0.5),
+         "terms[1].dpoly[0].upoly[0][1]: expected str"),
+        (lambda d: d["terms"].append(d["terms"][1]),
+         "terms[6].legs: ((0, 0), (1, 0)) repeats"),
+        (lambda d: d["terms"][1]["dpoly"].append(d["terms"][1]["dpoly"][0]),
+         "terms[1].dpoly[1].exps: (1, 0) repeats"),
+        (lambda d: d["terms"][1]["dpoly"][0]["upoly"].append([1, "1/2"]),
+         "terms[1].dpoly[0].upoly[1][0]: 1 repeats"),
+    ])
+    def test_malformed_field_is_named(self, corrupt, field):
+        data = element_to_dict(twists.twist("L", "twist", 2))
+        corrupt(data)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            element_from_dict(data)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            element_from_dict([])
 
     def test_text_of_zero(self):
         from jortwist.borel import TensorElement

@@ -180,6 +180,66 @@ class TestEvaluate:
                     == a.evaluate(point, u0) + b.evaluate(point, u0))
 
 
+def naive_value(poly, point, u0):
+    """Sum of c(u0) * prod x_i^e_i over the terms, in Fraction arithmetic,
+    read straight from the term dicts: the oracle for DPoly.evaluate."""
+    total = Fraction(0)
+    for exps, coef in poly.terms.items():
+        value = Fraction(0)
+        for deg, c in coef.coeffs.items():
+            value += c * Fraction(u0) ** deg
+        for v, e in zip(point, exps):
+            value *= Fraction(v) ** e
+        total += value
+    return total
+
+
+class TestEvaluateAgainstNaive:
+    U_VALUES = (0, 1, Fraction(-2, 3), Fraction(5, 7))
+
+    @staticmethod
+    def random_poly(rng, legs):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exps = tuple(rng.randint(0, 4) for _ in range(legs))
+            terms[exps] = UPoly({deg: Fraction(rng.randint(-9, 9),
+                                               rng.randint(1, 12))
+                                 for deg in range(rng.randint(0, 3) + 1)})
+        return DPoly(legs, terms)
+
+    @staticmethod
+    def random_point(rng, legs):
+        return [rng.choice((rng.randint(-6, 6),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 8))))
+                for _ in range(legs)]
+
+    @pytest.mark.parametrize("u0", U_VALUES)
+    def test_random_symbolic_u_polys(self, rng, u0):
+        for _ in range(60):
+            legs = rng.randint(1, 3)
+            p = self.random_poly(rng, legs)
+            for _ in range(3):
+                point = self.random_point(rng, legs)
+                value = p.evaluate(point, u0)
+                assert type(value) is Fraction
+                assert value == naive_value(p, point, u0)
+
+    @pytest.mark.parametrize("u0", U_VALUES)
+    def test_zero_and_constant(self, rng, u0):
+        for legs in (1, 2, 3):
+            point = self.random_point(rng, legs)
+            assert DPoly(legs).evaluate(point, u0) == 0
+            c = DPoly.const(legs, UPoly({0: Fraction(3, 4), 2: -1}))
+            assert c.evaluate(point, u0) == Fraction(3, 4) - Fraction(u0) ** 2
+            assert c.evaluate(point, u0) == naive_value(c, point, u0)
+
+    def test_float_input_rejected(self):
+        with pytest.raises(TypeError):
+            var(1, 1).evaluate([0.5])
+        with pytest.raises(TypeError):
+            var(1, 1).evaluate([1], 0.5)
+
+
 def test_upoly_no_stored_zeros():
     p = u() - u()
     assert p.coeffs == {}

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from jortwist.exactalg import DPoly, binom_poly, int_binom
-from jortwist.identities import (independence_det, independence_matrix,
-                                 run_bigident_suite, verify_bigident,
-                                 verify_bigident_index_swap,
+from jortwist.exactalg import MAX_LEGS, DPoly, binom_poly, int_binom
+from jortwist.identities import (SAMPLE_COUNT, SAMPLE_POINTS, SAMPLE_SEED,
+                                 _sample_check, independence_det,
+                                 independence_matrix, run_bigident_suite,
+                                 verify_bigident, verify_bigident_index_swap,
                                  verify_identity_chain)
 
 
@@ -41,6 +43,38 @@ class TestBigIdentity:
         for point in [(0, 0, 0), (1, 2, 3), (-2, 5, -7)]:
             pt = [Fraction(v) for v in point]
             assert inst.lhs.evaluate(pt) == inst.rhs.evaluate(pt)
+
+
+class TestSampleCheck:
+    def test_points_are_the_seeded_draws(self):
+        # the points every instance used to draw from its own fresh rng
+        for legs in range(1, MAX_LEGS + 1):
+            rng = random.Random(SAMPLE_SEED)
+            draws = [[Fraction(rng.randint(-10, 10)) for _ in range(legs)]
+                     for _ in range(SAMPLE_COUNT)]
+            assert [list(p) for p in SAMPLE_POINTS[legs]] == draws
+
+    def test_fails_on_a_pair_that_agrees_at_some_points_only(self):
+        x = DPoly.variable(1, 1)
+        points = SAMPLE_POINTS[1]
+        for agree_at in (0, len(points) - 1):
+            c = DPoly.const(1, points[agree_at][0])
+            agree = [x.evaluate(p) == c.evaluate(p) for p in points]
+            assert any(agree) and not all(agree)
+            assert _sample_check(x, c) is False
+        assert _sample_check(x, x) is True
+
+    def test_one_evaluation_per_side_and_point(self, monkeypatch):
+        calls = []
+        evaluate = DPoly.evaluate
+
+        def counting(self, point, u_value=0):
+            calls.append(tuple(point))
+            return evaluate(self, point, u_value)
+
+        monkeypatch.setattr(DPoly, "evaluate", counting)
+        assert verify_bigident(2, 1, 1, 1).equal
+        assert sorted(calls) == sorted(list(SAMPLE_POINTS[3]) * 2)
 
 
 class TestChains:

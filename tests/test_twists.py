@@ -315,6 +315,27 @@ def test_every_registered_check_runs_at_the_given_order(name):
     assert all(r.params["order"] == 1 for r in reports)
 
 
+@pytest.mark.parametrize("name", list(twists.CHECKS))
+def test_declared_options_are_the_applied_ones(name):
+    # a check declares "u" iff a report runs at the given u, and "family"
+    # iff every report runs for the given family; the others are noted
+    applied = twists.CHECKS[name][1]
+    assert set(applied) <= {"family", "u"}
+    reports = run_suite(checks=[name], order=1, family="L", u=Fraction(1, 2))
+    uses_u = any(r.params["u"] == "1/2" for r in reports)
+    assert uses_u == ("u" in applied)
+    families = {r.params.get("family") for r in reports}
+    assert families == ({"L"} if "family" in applied else {None})
+    for rep in reports:
+        assert ("u not applied" in rep.notes) != ("u" in applied)
+        assert ("family not applied" in rep.notes) != ("family" in applied)
+
+
+def test_no_note_without_options():
+    reports = run_suite(checks=["vfamily", "lr"], order=1)
+    assert not any("not applied" in n for r in reports for n in r.notes)
+
+
 def test_run_suite_smoke():
     reports = run_suite(checks=["normalization", "lr"], order=2)
     assert all(r.passed for r in reports)
