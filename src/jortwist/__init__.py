@@ -9,13 +9,13 @@ from .exactalg import DPoly, UPoly, binom_poly
 from .borel import (TensorElement, conjugate, exp_series, first_difference,
                     geometric_inverse, log1p_series, series_apply)
 from .report import VerificationReport
-from .twists import TwistSpec, build_target, build_twist, twist
+from .twists import build_twist
 
 __all__ = [
     "DPoly", "UPoly", "binom_poly",
     "TensorElement", "conjugate", "exp_series", "first_difference",
     "geometric_inverse", "log1p_series", "series_apply",
-    "VerificationReport", "TwistSpec", "build_target", "build_twist", "twist",
+    "VerificationReport", "build_twist",
 ]
 
 __version__ = "0.1.0"

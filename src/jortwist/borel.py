@@ -95,9 +95,6 @@ class TensorElement:
     def is_zero(self):
         return not self.terms
 
-    def min_grade(self):
-        return min((_key_grade(k) for k in self.terms), default=None)
-
     def grade_slice(self, n):
         """The homogeneous part of kappa-grade n."""
         if not 0 <= n <= self.truncation:

@@ -248,11 +248,16 @@ def _build_parser():
 
 
 def _emit(text, out_path):
-    if out_path:
+    if not out_path:
+        print(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        print("jortwist: error: cannot write %s: %s"
+              % (out_path, exc.strerror), file=sys.stderr)
+        sys.exit(2)
 
 
 def _report_lines(reports):
@@ -285,15 +290,12 @@ def _emit_reports(reports, args):
 # ---------------------------------------------------------------------------
 
 def _cmd_expand(args, parser):
-    direction = "inverse" if args.inverse else "twist"
-    if args.form == "auto":
-        element = twists.twist(args.family, direction, args.order, args.u)
-    else:
-        try:
-            element = twists.build_twist(twists.TwistSpec(
-                args.family, direction, args.form, args.order, args.u))
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        element = twists.build_twist(
+            args.family, "inverse" if args.inverse else "twist", args.order,
+            args.u, None if args.form == "auto" else args.form)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.format == "json":
         _emit(json.dumps(element_to_dict(element), indent=2), args.out)
     else:
@@ -316,6 +318,8 @@ def _cmd_verify(args, parser):
 
 
 def _cmd_identities(args, parser):
+    if args.bound is not None and not (args.bigident or args.chain):
+        parser.error("--bound applies to --bigident and --chain only")
     reports = []
     if args.bigident:
         reports.append(identities.run_bigident_suite(args.bound))

@@ -13,7 +13,6 @@ by truncated geometric inversion of the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import DPoly, UPoly, binom_poly
@@ -24,18 +23,6 @@ from .report import VerificationReport, merge_reports
 FAMILIES = ("0", "1", "L", "R")
 DIRECTIONS = ("twist", "inverse")
 FORMS = ("product", "closed", "inverted-closed")
-
-TARGET_IDS = ("DL_p", "DL_D", "SL_p", "SL_D",
-              "DR_p", "DR_D", "SR_p", "SR_D", "LRfactor")
-
-
-@dataclass(frozen=True)
-class TwistSpec:
-    family: str
-    direction: str = "twist"
-    form: str = "closed"
-    order: int = 2
-    u: Fraction | None = None  # None means symbolic
 
 
 def _usym(u):
@@ -120,31 +107,25 @@ def _neg_log_one_minus_p(N):
     return series_apply(coeffs, TensorElement.momentum_p(N))
 
 
-def _middle_factor(N, inverse=False):
-    """exp(-ln(1 - P/kappa) (x) D), or its inverse."""
-    arg = _neg_log_one_minus_p(N).tensor(TensorElement.dilatation(N))
-    if inverse:
-        arg = -arg
-    return exp_series(arg)
-
-
 def _product_family(cochain, N, u=None, inverse=False):
-    """Three-exponential product form with 1-cochain exponent `cochain`.
+    """Three-exponential product form with 1-cochain exponent `cochain`:
 
-    cochain is the grade-1 1-leg element whose u-multiple is exponentiated
-    (P(D-1) for the left family, PD for the right one).
+    exp(u (c (x) 1 + 1 (x) c)) exp(-ln(1 - P/kappa) (x) D) exp(-u Delta c),
+
+    and for the inverse the same exponents reversed and negated.  c is the
+    grade-1 1-leg element whose u-multiple is exponentiated (P(D-1) for the
+    left family, PD for the right one).
     """
     uu = _usym(u)
     one1 = TensorElement.one(1, N)
-    pair = cochain.tensor(one1) + one1.tensor(cochain)
-    if not inverse:
-        f1 = exp_series(pair.scale(uu))
-        f2 = _middle_factor(N)
-        f3 = exp_series(cochain.coproduct(1).scale(-uu))
-        return f1 * f2 * f3
-    f1 = exp_series(cochain.coproduct(1).scale(uu))
-    f2 = _middle_factor(N, inverse=True)
-    f3 = exp_series(pair.scale(-uu))
+    exponents = [
+        (cochain.tensor(one1) + one1.tensor(cochain)).scale(uu),
+        _neg_log_one_minus_p(N).tensor(TensorElement.dilatation(N)),
+        cochain.coproduct(1).scale(-uu),
+    ]
+    if inverse:
+        exponents = [-a for a in reversed(exponents)]
+    f1, f2, f3 = (exp_series(a) for a in exponents)
     return f1 * f2 * f3
 
 
@@ -165,10 +146,11 @@ def build_vfamily(v, N):
 # twist dispatch
 # ---------------------------------------------------------------------------
 
-# (family, direction, form) -> builder(N, u), for every form that builds;
-# family R's transcribed closed series is its inverse.  The entries call the
-# constructors by their module names, so that a wrapper installed on a
-# module attribute (a tracer, a mock) sees each call.
+# (family, direction, form) -> builder(N, u), for every form that builds.
+# The paper transcribes one closed series per family: the twist's, except
+# for family R, whose closed series is its inverse's (see _transcribed).
+# The entries call the constructors by their module names, so that a
+# wrapper installed on a module attribute (a tracer, a mock) sees each call.
 _BUILDERS = {
     ("0", "twist", "closed"): lambda N, u: _closed_F0(N),
     ("0", "inverse", "closed"): lambda N, u: _closed_F0(N, inverse=True),
@@ -187,25 +169,25 @@ _BUILDERS = {
 }
 
 
-def build_twist(spec):
-    """Construct the twist described by a TwistSpec."""
-    builder = _BUILDERS.get((spec.family, spec.direction, spec.form))
+def build_twist(family, direction, N, u=None, form=None):
+    """The twist (direction "twist") or its inverse ("inverse") of a family
+    to order N, at a rational u or with u symbolic (None).  form=None means
+    the series: "closed" where the family has that closed form, else
+    "inverted-closed", the inverse of the other direction's closed form."""
+    if form is None:
+        closed = (family, direction, "closed") in _BUILDERS
+        form = "closed" if closed else "inverted-closed"
+    builder = _BUILDERS.get((family, direction, form))
     if builder is None:
         raise ValueError("family %s has no %s %s form"
-                         % (spec.family, spec.direction, spec.form))
-    return builder(spec.order, spec.u)
+                         % (family, direction, form))
+    return builder(N, u)
 
 
-def _series_form(family, direction):
-    """The closed form where the family has one, else the inverted one."""
-    closed = (family, direction, "closed") in _BUILDERS
-    return "closed" if closed else "inverted-closed"
-
-
-def twist(family, direction, N, u=None):
-    """Canonical series-form twist (closed, or inverse of the closed form)."""
-    form = _series_form(family, direction)
-    return build_twist(TwistSpec(family, direction, form, N, u))
+def _transcribed(family):
+    """The direction whose closed series the paper prints: the twist, or
+    the inverse where only the inverse has a closed form (family R)."""
+    return "twist" if (family, "twist", "closed") in _BUILDERS else "inverse"
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +216,17 @@ def target_coproduct(family, generator, N, u=None):
     """Closed-form deformed coproduct, expanded as a truncated series."""
     if family not in ("L", "R"):
         raise ValueError("Hopf data targets exist for families L and R")
+    g = _probe(generator, N)
     uu = _usym(u)
     one1 = TensorElement.one(1, N)
     P = TensorElement.momentum_p(N)
     right = one1 + P.scale(uu)            # 1 + uP/kappa
     left = one1 - P.scale(1 - uu)         # 1 - (1-u)P/kappa
-    if generator in ("P", "Q"):
-        m = _probe(generator, N)
-        num = m.tensor(right) + left.tensor(m)
+    if generator != "D":
+        num = g.tensor(right) + left.tensor(g)
         return num * lr_factor(N, u)
-    D = TensorElement.dilatation(N)
-    core = (D.tensor(geometric_inverse(right))
-            + geometric_inverse(left).tensor(D))
+    core = (g.tensor(geometric_inverse(right))
+            + geometric_inverse(left).tensor(g))
     pp = TensorElement.one(2, N) + P.tensor(P).scale(uu * (1 - uu))
     if family == "L":
         return core * pp
@@ -256,38 +237,19 @@ def target_antipode(family, generator, N, u=None):
     """Closed-form deformed antipode exactly as printed (signs included)."""
     if family not in ("L", "R"):
         raise ValueError("Hopf data targets exist for families L and R")
+    g = _probe(generator, N)
     uu = _usym(u)
     one1 = TensorElement.one(1, N)
     P = TensorElement.momentum_p(N)
     mid = one1 - P.scale(1 - 2 * uu)      # 1 - (1-2u)P/kappa
-    if generator in ("P", "Q"):
-        m = _probe(generator, N)
-        res = m * geometric_inverse(mid)
+    if generator != "D":
+        res = g * geometric_inverse(mid)
         return -res if family == "R" else res
-    D = TensorElement.dilatation(N)
     if family == "L":
         right = one1 + P.scale(uu)
-        return -(geometric_inverse(right) * mid * D * right)
+        return -(geometric_inverse(right) * mid * g * right)
     left = one1 - P.scale(1 - uu)
-    return -(left * D * mid * geometric_inverse(left))
-
-
-def build_target(target_id, N, u=None):
-    """Dispatch over the named Hopf-data targets (momentum probe: Q)."""
-    if target_id == "LRfactor":
-        return lr_factor(N, u)
-    if target_id not in TARGET_IDS:
-        raise ValueError("unknown target id %r" % (target_id,))
-    kind, family = target_id[0], target_id[1]
-    generator = "Q" if target_id.endswith("_p") else "D"
-    if kind == "D":
-        return target_coproduct(family, generator, N, u)
-    return target_antipode(family, generator, N, u)
-
-
-def twisted_antipode_element(F):
-    """chi = sum f(1) S(f(2)); the deformed antipode is chi S(.) chi^-1."""
-    return F.fold_mul_antipode("right")
+    return -(left * g * mid * geometric_inverse(left))
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +257,12 @@ def twisted_antipode_element(F):
 # ---------------------------------------------------------------------------
 
 def _compare(check, params, lhs, rhs, notes=None):
-    N = lhs.truncation
-    grades = {n: lhs.grade_slice(n) == rhs.grade_slice(n) for n in range(N + 1)}
-    failure = first_difference(lhs, rhs)
+    lhs._check_shape(rhs)
+    differing = {sum(p for p, _ in key)
+                 for key in lhs.terms.keys() | rhs.terms.keys()
+                 if lhs.terms.get(key) != rhs.terms.get(key)}
+    grades = {n: n not in differing for n in range(lhs.truncation + 1)}
+    failure = first_difference(lhs, rhs) if differing else None
     return VerificationReport(check, params, failure is None, grades,
                               failure, list(notes or []))
 
@@ -314,7 +279,7 @@ def _params(family=None, N=None, u=None, **extra):
 
 def check_normalization(family, N, u=None, element=None):
     """(eps (x) id) F = 1 = (id (x) eps) F."""
-    F = element if element is not None else twist(family, "twist", N, u)
+    F = element if element is not None else build_twist(family, "twist", N, u)
     one1 = TensorElement.one(1, N)
     reps = [
         _compare("normalization", {}, F.counit_contract(1), one1),
@@ -323,20 +288,23 @@ def check_normalization(family, N, u=None, element=None):
     return merge_reports("normalization", _params(family, N, u), reps)
 
 
-def check_cocycle(family, N, u=None, element=None, via_inverse=False):
+def check_cocycle(family, N, u=None, element=None):
     """(F (x) 1)(Delta (x) id)F = (1 (x) F)(id (x) Delta)F, grade by grade.
 
-    With via_inverse=True the equivalent condition on the inverse element
-    G = F^-1 is checked instead: (Delta (x) id)G (G (x) 1) = (id (x) Delta)G (1 (x) G).
+    The condition is checked on the family's transcribed series (`element`,
+    if given, stands in for it).  Where that is the inverse G = F^-1, the
+    equivalent condition (Delta (x) id)G (G (x) 1) = (id (x) Delta)G (1 (x) G)
+    is checked instead, and the report's param via_inverse says so.
     """
+    direction = _transcribed(family)
+    via_inverse = direction == "inverse"
+    F = build_twist(family, direction, N, u) if element is None else element
     one1 = TensorElement.one(1, N)
     notes = []
-    if via_inverse:
-        G = element if element is not None else twist(family, "inverse", N, u)
-        lhs = G.coproduct(1) * G.tensor(one1)
-        rhs = G.coproduct(2) * one1.tensor(G)
+    if via_inverse:  # F holds G = F^-1
+        lhs = F.coproduct(1) * F.tensor(one1)
+        rhs = F.coproduct(2) * one1.tensor(F)
     else:
-        F = element if element is not None else twist(family, "twist", N, u)
         lhs = F.tensor(one1) * F.coproduct(1)
         rhs = one1.tensor(F) * F.coproduct(2)
         # cross-check the order-by-order convolution decomposition
@@ -358,14 +326,14 @@ def check_inverse_pair(family, N, u=None):
     """F F^-1 = 1 = F^-1 F, with the inverse from every available route."""
     if family not in ("L", "R"):
         raise ValueError("inverse-pair check applies to families L and R")
-    F = twist(family, "twist", N, u)
-    Finv = twist(family, "inverse", N, u)
+    F = build_twist(family, "twist", N, u)
+    Finv = build_twist(family, "inverse", N, u)
     one2 = TensorElement.one(2, N)
     reps = [
         _compare("inverse", {}, F * Finv, one2),
         _compare("inverse", {}, Finv * F, one2),
     ]
-    prod_inv = build_twist(TwistSpec(family, "inverse", "product", N, u))
+    prod_inv = build_twist(family, "inverse", N, u, "product")
     reps.append(_compare("inverse", {}, prod_inv, Finv,
                          ["product-form inverse equals series inverse"]))
     return merge_reports("inverse", _params(family, N, u), reps)
@@ -374,31 +342,26 @@ def check_inverse_pair(family, N, u=None):
 def check_endpoints(family, N):
     """u=0 and u=1 specializations hit F0 and F1 (and their inverses).
 
-    The family's transcribed series (closed form for L, closed inverse for
-    R) is built with symbolic u and specialized; the other direction is
-    obtained by inverting the specialized element, which commutes with the
-    specialization and keeps the arithmetic rational.
+    The family's transcribed series is built with symbolic u and
+    specialized; the other direction is obtained by inverting the
+    specialized element, which commutes with the specialization and keeps
+    the arithmetic rational.  Family "0" is the u=0 end, family "1" the u=1
+    end.
     """
     if family not in ("L", "R"):
         raise ValueError("endpoint check applies to families L and R")
-    if family == "L":
-        F = _closed_L(N)
-        at0, at1 = F.specialize_u(0), F.specialize_u(1)
-        inv0, inv1 = geometric_inverse(at0), geometric_inverse(at1)
-    else:
-        Finv = _closed_R_inverse(N)
-        inv0, inv1 = Finv.specialize_u(0), Finv.specialize_u(1)
-        at0, at1 = geometric_inverse(inv0), geometric_inverse(inv1)
-    reps = [
-        _compare("endpoints", {}, at0, _closed_F0(N),
-                 ["u=0: twist equals F0"]),
-        _compare("endpoints", {}, at1, _closed_F1(N),
-                 ["u=1: twist equals F1"]),
-        _compare("endpoints", {}, inv0, _closed_F0(N, inverse=True),
-                 ["u=0: inverse equals F0^-1"]),
-        _compare("endpoints", {}, inv1, _closed_F1(N, inverse=True),
-                 ["u=1: inverse equals F1^-1"]),
-    ]
+    transcribed = _transcribed(family)
+    series = build_twist(family, transcribed, N)
+    ends = {end: series.specialize_u(int(end)) for end in "01"}
+    reps = []
+    for direction in DIRECTIONS:
+        for end, at in ends.items():
+            if direction != transcribed:
+                at = geometric_inverse(at)
+            power = "" if direction == "twist" else "^-1"
+            reps.append(_compare(
+                "endpoints", {}, at, build_twist(end, direction, N),
+                ["u=%s: %s equals F%s%s" % (end, direction, end, power)]))
     return merge_reports("endpoints", _params(family, N), reps)
 
 
@@ -406,15 +369,15 @@ def check_form_equality(family, N, u=None):
     """Product-form construction equals the closed-form series."""
     if family not in ("L", "R"):
         raise ValueError("form-equality check applies to families L and R")
-    # the transcribed closed series first, then the inverted one
-    pairs = sorted(((d, _series_form(family, d)) for d in DIRECTIONS),
-                   key=lambda pair: pair[1])
+    transcribed = _transcribed(family)
     reps = []
-    for direction, series_form in pairs:
-        prod = build_twist(TwistSpec(family, direction, "product", N, u))
-        series = build_twist(TwistSpec(family, direction, series_form, N, u))
+    # the transcribed closed series first, then the inverted one
+    for direction in sorted(DIRECTIONS, key=lambda d: d != transcribed):
+        form = "closed" if direction == transcribed else "inverted-closed"
+        prod = build_twist(family, direction, N, u, "product")
+        series = build_twist(family, direction, N, u, form)
         reps.append(_compare("forms", {}, prod, series,
-                             ["%s: product equals %s" % (direction, series_form)]))
+                             ["%s: product equals %s" % (direction, form)]))
     return merge_reports("forms", _params(family, N, u), reps)
 
 
@@ -426,8 +389,8 @@ def check_hopf_data(family, generator, N, u=None):
     """
     if family not in ("L", "R"):
         raise ValueError("Hopf-data check applies to families L and R")
-    F = twist(family, "twist", N, u)
-    Finv = twist(family, "inverse", N, u)
+    F = build_twist(family, "twist", N, u)
+    Finv = build_twist(family, "inverse", N, u)
     g = _probe(generator, N)
     notes = []
 
@@ -438,7 +401,8 @@ def check_hopf_data(family, generator, N, u=None):
         notes.append("Delta target read with the elided (x)D factor restored"
                      " and the momentum prefactor kept on the left, as printed")
 
-    chi = twisted_antipode_element(F)
+    # chi = sum f(1) S(f(2)); the deformed antipode is chi S(.) chi^-1
+    chi = F.fold_mul_antipode("right")
     sf = chi * g.antipode() * geometric_inverse(chi)
     anti_target = target_antipode(family, generator, N, u)
     if sf == anti_target:
@@ -456,15 +420,15 @@ def check_hopf_data(family, generator, N, u=None):
 
 def check_LR_relation(N, u=None):
     """F_R^-1 = F_L^-1 (1 (x) 1 + u(1-u)/kappa^2 P (x) P)^-1."""
-    lhs = twist("R", "inverse", N, u)
-    rhs = twist("L", "inverse", N, u) * lr_factor(N, u)
+    lhs = build_twist("R", "inverse", N, u)
+    rhs = build_twist("L", "inverse", N, u) * lr_factor(N, u)
     return _compare("lr-relation", _params(None, N, u), lhs, rhs)
 
 
 def check_LR_u1(N):
     """The two families coincide at u = 1."""
-    lhs = twist("L", "twist", N, Fraction(1))
-    rhs = twist("R", "twist", N, Fraction(1))
+    lhs = build_twist("L", "twist", N, Fraction(1))
+    rhs = build_twist("R", "twist", N, Fraction(1))
     return _compare("lr-u1", _params(None, N, Fraction(1)), lhs, rhs)
 
 
@@ -498,7 +462,7 @@ CHECKS = {
     "normalization": (4, ("family", "u"), lambda families, N, u: [
         check_normalization(f, N, u) for f in families]),
     "cocycle": (5, ("family", "u"), lambda families, N, u: [
-        check_cocycle(f, N, u, via_inverse=(f == "R")) for f in families]),
+        check_cocycle(f, N, u) for f in families]),
     "inverse": (6, ("family", "u"), lambda families, N, u: [
         check_inverse_pair(f, N, u) for f in families]),
     "endpoints": (6, ("family",), lambda families, N, u: [
@@ -515,23 +479,25 @@ CHECKS = {
 
 
 def run_suite(checks=None, order=None, family=None, u=None):
-    """Run the named checks of CHECKS (default: all) and return the reports
-    in order; each check runs at `order`, or at its own default order.  A
-    report of a check that does not apply a given `family` or `u` carries
-    the note "family not applied" or "u not applied"."""
-    selected = list(checks or CHECKS)
+    """Run the named checks of CHECKS (default: all), each once, and return
+    the reports in order; each check runs at `order`, or at its own default
+    order.  A report that does not run at a given `family` or `u` (its check
+    does not apply the option, or the report's params show another value,
+    as lr-u1's u=1) carries the note "family not applied" or "u not
+    applied"."""
+    selected = list(dict.fromkeys(checks or CHECKS))
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
         raise ValueError("unknown check(s) %s" % ", ".join(map(repr, unknown)))
     families = [family] if family else ["L", "R"]
-    given = [opt for opt, value in (("family", family), ("u", u))
-             if value is not None]
+    given = {"family": family, "u": None if u is None else str(Fraction(u))}
     reports = []
     for name in selected:
         default_order, applied, run = CHECKS[name]
-        ignored = ["%s not applied" % opt for opt in given
-                   if opt not in applied]
         for rep in run(families, default_order if order is None else order, u):
-            rep.notes += ignored
+            rep.notes += [
+                "%s not applied" % opt for opt, value in given.items()
+                if value is not None
+                and (opt not in applied or rep.params.get(opt) != value)]
             reports.append(rep)
     return reports

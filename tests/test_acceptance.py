@@ -11,11 +11,10 @@ from fractions import Fraction
 from jortwist.borel import TensorElement
 from jortwist.identities import (independence_det, run_bigident_suite,
                                  verify_identity_chain)
-from jortwist.twists import (check_cocycle, check_endpoints,
+from jortwist.twists import (build_twist, check_cocycle, check_endpoints,
                              check_form_equality, check_hopf_data,
                              check_LR_relation, check_LR_u1, check_v_family,
-                             mutate_coefficient, twist,
-                             _closed_L, _product_L)
+                             mutate_coefficient, _closed_L, _product_L)
 
 from conftest import random_element
 
@@ -144,7 +143,7 @@ def test_criterion_11_mutation_sensitivity():
     # first caught at grade 3
     start = time.monotonic()
     N = 5
-    F = twist("L", "twist", N)
+    F = build_twist("L", "twist", N)
     ok = True
     for key in sorted(F.terms):
         if sum(p for p, _ in key) != 2:

@@ -56,7 +56,7 @@ class TestExpand:
         code, out = run(["expand", "--family", "L", "--order", "3",
                          "--format", "json"], capsys)
         data = json.loads(out)
-        assert element_from_dict(data) == twists.twist("L", "twist", 3)
+        assert element_from_dict(data) == twists.build_twist("L", "twist", 3)
 
     def test_output_deterministic(self, capsys):
         argv = ["expand", "--family", "R", "--order", "2", "--format", "json"]
@@ -70,13 +70,23 @@ class TestExpand:
                          "--format", "json", "--out", str(path)], capsys)
         assert code == 0 and out == ""
         data = json.loads(path.read_text())
-        assert element_from_dict(data) == twists.twist("1", "twist", 2)
+        assert element_from_dict(data) == twists.build_twist("1", "twist", 2)
 
     def test_bad_form_for_family(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["expand", "--family", "0", "--order", "1",
                       "--form", "product"])
         assert exc.value.code == 2
+
+    def test_unwritable_out_is_a_clean_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "x"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["expand", "--family", "L", "--order", "1",
+                      "--out", str(missing)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == ("jortwist: error: cannot write %s: "
+                       "No such file or directory\n" % missing)
 
     def test_bad_rational(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -140,7 +150,14 @@ class TestVerify:
         assert notes == {
             ("cocycle", "L"): ["per-order convolution decomposition matches"],
             ("lr-relation", None): ["family not applied"],
-            ("lr-u1", None): ["family not applied"]}
+            ("lr-u1", None): ["family not applied", "u not applied"]}
+
+    def test_repeated_check_runs_once(self, capsys):
+        code, out = run(["verify", "--check", "lr", "--check", "lr",
+                         "--order", "1"], capsys)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "lr-relation", "lr-u1"]
 
     def test_requires_selection(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -232,7 +249,14 @@ class TestIdentities:
         assert notes == {
             ("cocycle", "L"): ["per-order convolution decomposition matches"],
             ("lr-relation", None): ["family not applied"],
-            ("lr-u1", None): ["family not applied"]}
+            ("lr-u1", None): ["family not applied", "u not applied"]}
+
+    def test_bound_without_a_bounded_suite_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["identities", "--det", "2", "--bound", "7"])
+        assert exc.value.code == 2
+        assert "--bound applies to --bigident and --chain only" in (
+            capsys.readouterr().err)
 
     def test_requires_selection(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -257,19 +281,19 @@ class TestSerialization:
     def test_round_trip_random_forms(self):
         for fam, direction in (("L", "twist"), ("R", "inverse"),
                                ("0", "inverse"), ("1", "twist")):
-            e = twists.twist(fam, direction, 3)
+            e = twists.build_twist(fam, direction, 3)
             assert element_from_dict(element_to_dict(e)) == e
             eu = e.specialize_u(Fraction(2, 5))
             assert element_from_dict(element_to_dict(eu)) == eu
 
     def test_schema_version_checked(self):
-        data = element_to_dict(twists.twist("0", "twist", 1))
+        data = element_to_dict(twists.build_twist("0", "twist", 1))
         data["schema"] = 99
         with pytest.raises(ValueError):
             element_from_dict(data)
 
     def test_round_trip_is_byte_identical(self):
-        data = element_to_dict(twists.twist("L", "twist", 3))
+        data = element_to_dict(twists.build_twist("L", "twist", 3))
         text = json.dumps(data, indent=2)
         assert json.dumps(element_to_dict(element_from_dict(json.loads(text))),
                           indent=2) == text
@@ -314,7 +338,7 @@ class TestSerialization:
          "terms[1].dpoly[0].upoly[1][0]: 1 repeats"),
     ])
     def test_malformed_field_is_named(self, corrupt, field):
-        data = element_to_dict(twists.twist("L", "twist", 2))
+        data = element_to_dict(twists.build_twist("L", "twist", 2))
         corrupt(data)
         with pytest.raises(ValueError, match=re.escape(field)):
             element_from_dict(data)

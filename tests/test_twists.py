@@ -1,16 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from jortwist.exactalg import DPoly, UPoly, binom_poly
-from jortwist.borel import TensorElement, conjugate, geometric_inverse
+from jortwist.borel import (TensorElement, conjugate, first_difference,
+                            geometric_inverse)
 from jortwist import twists
-from jortwist.twists import (TwistSpec, build_target, build_twist,
-                             check_cocycle, check_endpoints,
+from jortwist.twists import (build_twist, check_cocycle, check_endpoints,
                              check_form_equality, check_hopf_data,
                              check_inverse_pair, check_LR_relation,
                              check_LR_u1, check_normalization, check_v_family,
-                             lr_factor, mutate_coefficient, run_suite, twist)
+                             lr_factor, mutate_coefficient, run_suite,
+                             target_antipode, target_coproduct)
+
+from conftest import random_element
 
 
 def one(legs, n):
@@ -35,7 +39,7 @@ U = UPoly.u()
 class TestBuildTwist:
     def test_momentum_side_twist_structure(self):
         # sum_k (-P/kappa)^k (x) binom(-D, k), written out at N=2
-        F0 = build_twist(TwistSpec("0", order=2))
+        F0 = build_twist("0", "twist", 2)
         y = DPoly.variable(2, 2)
         expected = TensorElement(2, 2, {
             ((0, 0), (0, 0)): DPoly.const(2, 1),
@@ -45,36 +49,37 @@ class TestBuildTwist:
         assert F0 == expected
 
     def test_order_zero_is_unit(self):
-        assert build_twist(TwistSpec("L", order=0)) == one(2, 0)
+        assert build_twist("L", "twist", 0) == one(2, 0)
 
     def test_interpolating_family_first_order(self):
         # oracle: the k+l=1 terms of the closed double sum
-        F = build_twist(TwistSpec("L", order=1))
+        F = build_twist("L", "twist", 1)
         expected = (one(2, 1) + P(1).tensor(D(1)).scale(1 - U)
                     - D(1).tensor(P(1)).scale(U))
         assert F == expected
 
     def test_rational_u_mode_agrees_with_specialization(self):
         for fam, direction in (("L", "twist"), ("R", "inverse")):
-            sym = twist(fam, direction, 3)
+            sym = build_twist(fam, direction, 3)
             for u0 in (0, 1, Fraction(1, 2), -1, Fraction(3, 7)):
-                assert twist(fam, direction, 3, u0) == sym.specialize_u(u0)
+                assert (build_twist(fam, direction, 3, u0)
+                        == sym.specialize_u(u0))
 
     def test_unsupported_combinations_raise(self):
         with pytest.raises(ValueError):
-            build_twist(TwistSpec("0", form="product"))
+            build_twist("0", "twist", 2, form="product")
         with pytest.raises(ValueError):
-            build_twist(TwistSpec("L", "inverse", "closed"))
+            build_twist("L", "inverse", 2, form="closed")
         with pytest.raises(ValueError):
-            build_twist(TwistSpec("R", "twist", "closed"))
+            build_twist("R", "twist", 2, form="closed")
         with pytest.raises(ValueError):
-            build_twist(TwistSpec("X"))
+            build_twist("X", "twist", 2)
 
 
 class TestTargets:
     def test_momentum_coproduct_first_order(self):
         # oracle: first-order expansion of the deformed coproduct
-        t = build_target("DL_p", 1)
+        t = target_coproduct("L", "Q", 1)
         q, o, p = Q(1), one(1, 1), P(1)
         expected = (q.tensor(o) + o.tensor(q)
                     + q.tensor(p).scale(U) - p.tensor(q).scale(1 - U))
@@ -89,8 +94,10 @@ class TestTargets:
         assert lr_factor(2) == expected
 
     def test_unknown_target_rejected(self):
-        with pytest.raises(ValueError):
-            build_target("bogus", 2)
+        with pytest.raises(ValueError, match="unknown generator"):
+            target_coproduct("L", "bogus", 2)
+        with pytest.raises(ValueError, match="unknown generator"):
+            target_antipode("R", "X", 2)
 
 
 class TestNormalization:
@@ -102,7 +109,7 @@ class TestNormalization:
         assert rep.passed
 
     def test_corrupted_twist_fails(self):
-        bad = twist("0", "twist", 2) + P(2).tensor(one(1, 2))
+        bad = build_twist("0", "twist", 2) + P(2).tensor(one(1, 2))
         rep = check_normalization("0", 2, element=bad)
         assert not rep.passed
 
@@ -117,10 +124,13 @@ class TestCocycle:
         assert check_cocycle("L", 0).passed
 
     def test_inverse_form_of_condition(self):
-        assert check_cocycle("R", 3, via_inverse=True).passed
+        # family R's transcribed series is its inverse
+        rep = check_cocycle("R", 3)
+        assert rep.passed and rep.params["via_inverse"] is True
+        assert check_cocycle("L", 3).params["via_inverse"] is False
 
     def test_corrupted_grade_two_fails_at_grade_two(self):
-        F = twist("L", "twist", 2)
+        F = build_twist("L", "twist", 2)
         bad = mutate_coefficient(F, ((1, 0), (1, 0)), (1, 0), 1)
         rep = check_cocycle("L", 2, element=bad)
         assert not rep.passed
@@ -133,7 +143,7 @@ class TestCocycle:
         # (the same structure as the factor relating the two families), so
         # corrupting that one coefficient is invisible at grade 2 and is
         # caught one grade later
-        F = twist("L", "twist", 3)
+        F = build_twist("L", "twist", 3)
         bad = mutate_coefficient(F, ((1, 0), (1, 0)), (0, 0), 1)
         rep = check_cocycle("L", 3, element=bad)
         assert not rep.passed
@@ -178,20 +188,20 @@ class TestHopfData:
     def test_momentum_conjugation_correction(self):
         # oracle: hand expansion; the first correction is (2u-1)/kappa P (x) P
         n = 3
-        F, Finv = twist("L", "twist", n), twist("L", "inverse", n)
+        F, Finv = build_twist("L", "twist", n), build_twist("L", "inverse", n)
         conj = conjugate(F, P(n), Finv)
         assert conj.grade_slice(1) == P(n).coproduct(1)
         assert conj.grade_slice(2) == P(n).tensor(P(n)).scale(2 * U - 1)
 
     def test_dilatation_trivial_order(self):
-        F = twist("L", "twist", 0)
+        F = build_twist("L", "twist", 0)
         conj = conjugate(F, D(0), F)
         assert conj == D(0).coproduct(1)
 
     def test_jordanian_antipode_of_dilatation(self):
         # oracle: the printed closed form at u=0, -(1 - P/kappa) D
         n = 3
-        F = twist("L", "twist", n, Fraction(0))
+        F = build_twist("L", "twist", n, Fraction(0))
         chi = F.fold_mul_antipode("right")
         sfd = chi * D(n).antipode() * geometric_inverse(chi)
         assert sfd == -((one(1, n) - P(n)) * D(n))
@@ -215,7 +225,8 @@ class TestHopfData:
         # (eps (x) id) of the deformed coproduct returns the generator
         n = 3
         for fam in ("L", "R"):
-            F, Finv = twist(fam, "twist", n), twist(fam, "inverse", n)
+            F = build_twist(fam, "twist", n)
+            Finv = build_twist(fam, "inverse", n)
             for g in (P(n), Q(n), D(n)):
                 conj = conjugate(F, g, Finv)
                 assert conj.counit_contract(1) == g
@@ -225,7 +236,7 @@ class TestHopfData:
     def test_twisted_coassociativity(self, generator):
         # corollary of the cocycle condition, checked independently
         n = 3
-        F, Finv = twist("L", "twist", n), twist("L", "inverse", n)
+        F, Finv = build_twist("L", "twist", n), build_twist("L", "inverse", n)
         g = P(n) if generator == "P" else D(n)
         dg = conjugate(F, g, Finv)
         o = one(1, n)
@@ -239,12 +250,13 @@ class TestRelations:
         # oracle: grade-2 hand expansion; the factor first appears there
         rep = check_LR_relation(2)
         assert rep.passed
-        lhs = twist("R", "inverse", 2)
-        rhs = twist("L", "inverse", 2) * lr_factor(2)
+        lhs = build_twist("R", "inverse", 2)
+        rhs = build_twist("L", "inverse", 2) * lr_factor(2)
         assert lhs.grade_slice(2) == rhs.grade_slice(2)
 
     def test_lr_relation_at_u_zero(self):
-        assert twist("R", "inverse", 4, 0) == twist("L", "inverse", 4, 0)
+        assert (build_twist("R", "inverse", 4, 0)
+                == build_twist("L", "inverse", 4, 0))
         assert lr_factor(4, 0) == one(2, 4)
 
     def test_lr_relation_symbolic(self):
@@ -253,7 +265,7 @@ class TestRelations:
     def test_half_u_right_family_is_a_twist(self):
         u_half = Fraction(1, 2)
         assert check_normalization("R", 4, u_half).passed
-        assert check_cocycle("R", 4, u_half, via_inverse=True).passed
+        assert check_cocycle("R", 4, u_half).passed
 
 
 class TestVFamily:
@@ -278,7 +290,8 @@ class TestSpecializeCommutes:
         assert check_form_equality("L", 3, u0).passed
 
 
-# today's canonical series form of each (family, direction), written out
+# the series form build_twist picks for each (family, direction) when no
+# form is given, written out
 CANONICAL_FORMS = {
     ("0", "twist"): "closed", ("0", "inverse"): "closed",
     ("1", "twist"): "closed", ("1", "inverse"): "closed",
@@ -297,14 +310,14 @@ UNBUILDABLE = [
 @pytest.mark.parametrize("fam,direction", sorted(CANONICAL_FORMS))
 def test_twist_is_the_canonical_form(fam, direction):
     form = CANONICAL_FORMS[fam, direction]
-    assert twist(fam, direction, 3) == build_twist(
-        TwistSpec(fam, direction, form, 3))
+    assert build_twist(fam, direction, 3) == build_twist(
+        fam, direction, 3, form=form)
 
 
 @pytest.mark.parametrize("fam,direction,form", UNBUILDABLE)
 def test_unbuildable_form_raises(fam, direction, form):
     with pytest.raises(ValueError, match="has no"):
-        build_twist(TwistSpec(fam, direction, form, 1))
+        build_twist(fam, direction, 1, form=form)
 
 
 @pytest.mark.parametrize("name", list(twists.CHECKS))
@@ -317,8 +330,9 @@ def test_every_registered_check_runs_at_the_given_order(name):
 
 @pytest.mark.parametrize("name", list(twists.CHECKS))
 def test_declared_options_are_the_applied_ones(name):
-    # a check declares "u" iff a report runs at the given u, and "family"
-    # iff every report runs for the given family; the others are noted
+    # a check declares "u" iff some report runs at the given u, and "family"
+    # iff every report runs for the given family; a report that does not
+    # run at a given value (lr-u1 runs at u=1) is noted
     applied = twists.CHECKS[name][1]
     assert set(applied) <= {"family", "u"}
     reports = run_suite(checks=[name], order=1, family="L", u=Fraction(1, 2))
@@ -327,8 +341,34 @@ def test_declared_options_are_the_applied_ones(name):
     families = {r.params.get("family") for r in reports}
     assert families == ({"L"} if "family" in applied else {None})
     for rep in reports:
-        assert ("u not applied" in rep.notes) != ("u" in applied)
-        assert ("family not applied" in rep.notes) != ("family" in applied)
+        assert ("u not applied" in rep.notes) != (rep.params["u"] == "1/2")
+        assert ("family not applied" in rep.notes) != (
+            rep.params.get("family") == "L")
+
+
+def test_lr_u1_at_the_given_u_has_no_note():
+    # lr-u1 always runs at u=1, so a given u=1 is the one it applies
+    reports = run_suite(checks=["lr"], order=1, u=1)
+    assert [r.notes for r in reports] == [[], []]
+
+
+def test_compare_walks_the_differing_terms():
+    # oracle: the per-grade slices and first_difference, as compared before
+    rng = random.Random(5)
+    for _ in range(40):
+        a = random_element(rng, legs=2, truncation=3)
+        if rng.random() < 0.5:
+            b = random_element(rng, legs=2, truncation=3)
+        else:  # equal, or one coefficient off
+            key = ((rng.randint(0, 3), 0), (0, 0))
+            b = mutate_coefficient(a, key, (1, 0), rng.choice([0, 1]))
+        rep = twists._compare("c", {}, a, b)
+        assert rep.grades == {n: a.grade_slice(n) == b.grade_slice(n)
+                              for n in range(4)}
+        assert rep.failure == first_difference(a, b)
+        assert rep.passed == (a == b)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        twists._compare("c", {}, one(2, 2), one(2, 3))
 
 
 def test_no_note_without_options():
