@@ -194,13 +194,7 @@ class TensorElement:
             for kb, db in other.terms.items():
                 if ga + _key_grade(kb) > N:
                     continue
-                d = DPoly(legs)
-                dterms = {}
-                for e1, c1 in da.terms.items():
-                    for e2, c2 in db.terms.items():
-                        dterms[e1 + e2] = c1 * c2
-                d.terms = dterms
-                out[ka + kb] = d
+                out[ka + kb] = da.outer(db)
         res.terms = out
         return res
 
@@ -226,11 +220,8 @@ class TensorElement:
                 for qb in range(b + 1):
                     c = math.comb(a, pa) * math.comb(b, qb)
                     nk = key[:i] + ((pa, qb), (a - pa, b - qb)) + key[i + 1:]
-                    nd = dsplit * c
-                    s = out.get(nk)
-                    s = nd if s is None else s + nd
-                    out[nk] = s
-        res.terms = {k: v for k, v in out.items() if not v.is_zero}
+                    out[nk] = dsplit if c == 1 else dsplit * c
+        res.terms = out
         return res
 
     def counit_contract(self, slot=1):
@@ -401,13 +392,27 @@ def log1p_series(a):
 
 
 def geometric_inverse(e):
-    """Inverse of an element whose grade-0 part is 1, by (1+a)^-1 = sum (-a)^k."""
-    one = TensorElement.one(e.legs, e.truncation)
+    """Inverse of an element whose grade-0 part is 1, grade by grade.
+
+    With a_i the grade-i part of e, the inverse's grade-n part is
+    G_n = -sum_{i=1..n} a_i G_{n-i}, G_0 = 1; each product of slices lands
+    in grade n exactly, so nothing is computed above the truncation.
+    """
+    N = e.truncation
+    one = TensorElement.one(e.legs, N)
     if e.grade_slice(0) != one:
         raise ValueError("geometric inverse needs grade-0 part equal to 1")
-    a = e - one
-    coeffs = [Fraction((-1) ** k) for k in range(e.truncation + 1)]
-    return series_apply(coeffs, a)
+    a = [e.grade_slice(i) for i in range(N + 1)]
+    G = [one]
+    for n in range(1, N + 1):
+        g = TensorElement.zero(e.legs, N)
+        for i in range(1, n + 1):
+            g = g + a[i] * G[n - i]
+        G.append(-g)
+    res = TensorElement(e.legs, N)
+    for g in G:
+        res.terms.update(g.terms)
+    return res
 
 
 def conjugate(F, X, Finv):

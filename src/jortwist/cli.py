@@ -224,7 +224,7 @@ def _build_parser():
     p.add_argument("--u", type=_parse_u, default=None,
                    help="'symbolic' (default) or a rational like 1/2")
     common_output(p)
-    p.set_defaults(run=_cmd_expand)
+    p.set_defaults(run=_cmd_expand, parser=p)
 
     p = sub.add_parser("verify", help="run twist verification checks")
     p.add_argument("--all", action="store_true", dest="run_all")
@@ -234,7 +234,7 @@ def _build_parser():
     p.add_argument("--order", type=_verify_order)
     p.add_argument("--u", type=_parse_u, default=None)
     common_output(p)
-    p.set_defaults(run=_cmd_verify)
+    p.set_defaults(run=_cmd_verify, parser=p)
 
     p = sub.add_parser("identities", help="verify the binomial identities")
     p.add_argument("--bigident", action="store_true")
@@ -243,7 +243,7 @@ def _build_parser():
                    help="check the independence determinant for order N")
     p.add_argument("--bound", type=_nonneg_int)
     common_output(p)
-    p.set_defaults(run=_cmd_identities)
+    p.set_defaults(run=_cmd_identities, parser=p)
     return parser
 
 
@@ -333,9 +333,8 @@ def _cmd_identities(args, parser):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.run(args, parser)
+    args = _build_parser().parse_args(argv)
+    return args.run(args, args.parser)
 
 
 if __name__ == "__main__":

@@ -3,13 +3,15 @@ parameter u, and multivariate polynomials in the commuting dilatation
 variables x, y, z.
 
 All coefficients are arbitrary-precision fractions; there is no floating
-point anywhere in this package.
+point anywhere in this package.  Products, linear substitutions and
+variable splits sum plain integers over a common denominator and make one
+Fraction per nonzero result coefficient.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from fractions import Fraction
 
 MAX_LEGS = 3
@@ -258,8 +260,7 @@ class DPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, UPoly)):
-            other = UPoly.coerce(other)
-            if other.is_zero:
+            if other == 0:
                 return DPoly(self.legs)
             res = DPoly(self.legs)
             res.terms = {exps: c * other for exps, c in self.terms.items()}
@@ -267,20 +268,7 @@ class DPoly:
         if not isinstance(other, DPoly):
             return NotImplemented
         self._check_legs(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(exps)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
-        res = DPoly(self.legs)
-        res.terms = out
-        return res
+        return self._product(other, self.legs, _add_exps)
 
     __rmul__ = __mul__
 
@@ -292,42 +280,65 @@ class DPoly:
             res = res * self
         return res
 
+    def outer(self, other):
+        """The product in disjoint variables: self's legs, then other's."""
+        legs = self.legs + other.legs
+        if legs > MAX_LEGS:
+            raise ValueError("outer product exceeds %d legs" % MAX_LEGS)
+        return self._product(other, legs, operator.add)
+
+    def _product(self, other, legs, join):
+        """Product whose term (e1, e2) lands on join(e1, e2), summed in
+        integers over the product of the two operands' denominators."""
+        La, A = _over_lcm(self.terms)
+        Lb, B = _over_lcm(other.terms)
+        acc = {}
+        for e1, c1 in A.items():
+            for e2, c2 in B.items():
+                out = acc.setdefault(join(e1, e2), {})
+                for d1, v1 in c1:
+                    for d2, v2 in c2:
+                        d = d1 + d2
+                        out[d] = out.get(d, 0) + v1 * v2
+        return _from_ints(legs, acc, La * Lb)
+
     def substitute_linear(self, scales, offsets):
         """Replace each variable x_i by scales[i]*x_i + offsets[i].
 
-        Each factor (s*x + c)^e is expanded once per call into its terms
-        (j, C(e, j) * s^j * c^(e-j)); a term's image is the product of
-        these lists across the legs, scaling its u-coefficients.
+        With s = S/l and c = C/l over l = lcm of their denominators and m
+        the top exponent of the leg, (s*x + c)^e times l^m expands once per
+        call into the integer terms (j, C(e, j) S^j C^(e-j) l^(m-e)).  A
+        term's image is the product of these lists across the legs; the
+        sum runs in integers over L * prod l^m, L the lcm of the
+        coefficient denominators.
         """
         scales = [_as_fraction(s) for s in scales]
         offsets = [_as_fraction(c) for c in offsets]
+        lcms = [math.lcm(s.denominator, c.denominator)
+                for s, c in zip(scales, offsets)]
+        tops = [max(col) for col in zip(*self.terms)] or [0] * self.legs
+        L, coefs = _over_lcm(self.terms)
         expansions = [{} for _ in range(self.legs)]
         acc = {}
-        for exps, coef in self.terms.items():
-            factors = []
+        for exps, coef in coefs.items():
+            images = [((), 1)]
             for i, e in enumerate(exps):
                 table = expansions[i].get(e)
                 if table is None:
-                    s, c = scales[i], offsets[i]
-                    table = [(j, math.comb(e, j) * s**j * c**(e - j))
-                             for j in range(e + 1)]
+                    s, c, l = scales[i], offsets[i], lcms[i]
+                    S = s.numerator * (l // s.denominator)
+                    C = c.numerator * (l // c.denominator)
+                    table = [(j, math.comb(e, j) * S**j * C**(e - j)
+                              * l**(tops[i] - e)) for j in range(e + 1)]
                     table = expansions[i][e] = [t for t in table if t[1]]
-                factors.append(table)
-            for combo in itertools.product(*factors):
-                scalar = 1
-                for _, k in combo:
-                    scalar *= k
-                out = acc.setdefault(tuple(j for j, _ in combo), {})
-                for deg, v in coef.coeffs.items():
-                    out[deg] = out.get(deg, 0) + v * scalar
-        res = DPoly(self.legs)
-        for exps, coeffs in acc.items():
-            coeffs = {deg: c for deg, c in coeffs.items() if c}
-            if coeffs:
-                up = UPoly()
-                up.coeffs = coeffs
-                res.terms[exps] = up
-        return res
+                images = [(js + (j,), k * kj)
+                          for js, k in images for j, kj in table]
+            for js, k in images:
+                out = acc.setdefault(js, {})
+                for deg, v in coef:
+                    out[deg] = out.get(deg, 0) + v * k
+        den = L * math.prod([l**m for l, m in zip(lcms, tops)])
+        return _from_ints(self.legs, acc, den)
 
     def shift(self, offsets):
         """Replace each variable x_i by x_i + offsets[i]."""
@@ -345,18 +356,15 @@ class DPoly:
         if self.legs >= MAX_LEGS:
             raise ValueError("cannot split beyond %d variables" % MAX_LEGS)
         i = slot - 1
-        out = DPoly(self.legs + 1)
-        terms = {}
-        for exps, coef in self.terms.items():
+        L, coefs = _over_lcm(self.terms)
+        acc = {}
+        for exps, coef in coefs.items():
             e = exps[i]
             for j in range(e + 1):
+                b = math.comb(e, j)
                 key = exps[:i] + (j, e - j) + exps[i + 1:]
-                c = coef * math.comb(e, j)
-                s = terms.get(key)
-                s = c if s is None else s + c
-                terms[key] = s
-        out.terms = {k: v for k, v in terms.items() if not v.is_zero}
-        return out
+                acc[key] = {deg: v * b for deg, v in coef}
+        return _from_ints(self.legs + 1, acc, L)
 
     def evaluate(self, point, u_value=0):
         """Exact value at a rational point (one entry per variable).
@@ -411,6 +419,32 @@ class DPoly:
         return " + ".join(parts)
 
 
+def _add_exps(e1, e2):
+    return tuple(map(operator.add, e1, e2))
+
+
+def _over_lcm(terms):
+    """(L, {exps: [(u-degree, int)]}): the coefficients of a DPoly's terms
+    as integer numerators over L, the lcm of their denominators."""
+    L = math.lcm(*{c.denominator for p in terms.values()
+                   for c in p.coeffs.values()})
+    return L, {exps: [(d, c.numerator * (L // c.denominator))
+                      for d, c in p.coeffs.items()]
+               for exps, p in terms.items()}
+
+
+def _from_ints(legs, acc, den):
+    """The DPoly of {exps: {u-degree: int}} over the denominator den: one
+    Fraction per nonzero coefficient, no zero stored."""
+    res = DPoly(legs)
+    for exps, coeffs in acc.items():
+        coeffs = {d: Fraction(n, den) for d, n in coeffs.items() if n}
+        if coeffs:
+            p = res.terms[exps] = UPoly()
+            p.coeffs = coeffs
+    return res
+
+
 def _ratio_powers(v, m):
     """[a^e * b^(m-e) for e in 0..m] for v = a/b: the numerators of v^e
     over the common denominator b^m, which is the first entry."""
@@ -423,17 +457,28 @@ def _ratio_powers(v, m):
     return out
 
 
+_BINOM = {}
+
+
 def binom_poly(T, k):
-    """Binomial symbol with polynomial argument: T(T-1)...(T-k+1)/k!."""
+    """Binomial symbol with polynomial argument: T(T-1)...(T-k+1)/k!.
+
+    Memoised by (T, k), so the returned polynomial is shared between calls
+    and must not be mutated.
+    """
     if k < 0:
         raise ValueError("binomial lower index must be nonnegative")
-    if isinstance(T, DPoly):
-        res = DPoly.const(T.legs, 1)
-    else:
-        res = UPoly.const(1)
-    for j in range(k):
-        res = res * (T - j)
-    return res * Fraction(1, math.factorial(k))
+    key = (type(T), T, k)
+    res = _BINOM.get(key)
+    if res is None:
+        if isinstance(T, DPoly):
+            res = DPoly.const(T.legs, 1)
+        else:
+            res = UPoly.const(1)
+        for j in range(k):
+            res = res * (T - j)
+        res = _BINOM[key] = res * Fraction(1, math.factorial(k))
+    return res
 
 
 def int_binom(n, k):

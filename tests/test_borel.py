@@ -124,6 +124,18 @@ class TestSeries:
         assert (one(2) + a) * inv == one(2)
         assert inv * (one(2) + a) == one(2)
 
+    def test_geometric_inverse_is_the_geometric_series(self, rng):
+        # oracle: the power series sum (-a)^k of a = e - 1
+        for legs in (1, 2):
+            for n in range(1, 6):
+                x = random_element(rng, legs, n, max_terms=3)
+                e = one(legs, n) + x - x.grade_slice(0)
+                inv = geometric_inverse(e)
+                series = series_apply([(-1) ** k for k in range(n + 1)],
+                                      e - one(legs, n))
+                assert inv == series
+                assert e * inv == one(legs, n) == inv * e
+
     def test_exp_log_roundtrip_on_simple_element(self):
         a = P().scale(-1).tensor(one())
         assert exp_series(log1p_series(a)) == one(2) + a

@@ -230,27 +230,6 @@ class TestIdentities:
                         capsys)
         assert code == 0
 
-    def test_option_no_selected_check_applies_is_a_usage_error(self, capsys):
-        for argv in (["--family", "L", "--u", "1/2"], ["--u", "1/2"]):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(["verify", "--check", "vfamily", "--order", "1"]
-                         + argv)
-            assert exc.value.code == 2
-        assert "--u applies to none of the checks vfamily" in (
-            capsys.readouterr().err)
-
-    def test_option_a_check_does_not_apply_is_noted(self, capsys):
-        code, out = run(["verify", "--check", "cocycle", "--check", "lr",
-                         "--family", "L", "--u", "1/2", "--order", "1",
-                         "--format", "json"], capsys)
-        assert code == 0
-        notes = {(r["check"], r["params"].get("family")): r["notes"]
-                 for r in json.loads(out)["reports"]}
-        assert notes == {
-            ("cocycle", "L"): ["per-order convolution decomposition matches"],
-            ("lr-relation", None): ["family not applied"],
-            ("lr-u1", None): ["family not applied", "u not applied"]}
-
     def test_bound_without_a_bounded_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["identities", "--det", "2", "--bound", "7"])
@@ -275,6 +254,18 @@ def test_negative_order_or_bound_is_a_usage_error(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--det", "2", "--bound", "7"],
+    ["verify", "--check", "vfamily", "--u", "1/2"],
+    ["expand", "--family", "0", "--order", "1", "--form", "product"],
+])
+def test_usage_error_prints_the_subcommand_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: jortwist %s " % argv[0])
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -244,3 +245,117 @@ def test_upoly_no_stored_zeros():
     p = u() - u()
     assert p.coeffs == {}
     assert (UPoly({0: 2, 1: 0})).coeffs == {0: Fraction(2)}
+
+
+def built_from(legs, contributions):
+    """The DPoly summing (exps, u-degree, value) contributions, built by
+    the constructors alone, which drop zeros."""
+    acc = {}
+    for exps, deg, value in contributions:
+        coeffs = acc.setdefault(tuple(exps), {})
+        coeffs[deg] = coeffs.get(deg, 0) + value
+    return DPoly(legs, {exps: UPoly(c) for exps, c in acc.items()})
+
+
+def pairs(a, b):
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            for d1, v1 in c1.coeffs.items():
+                for d2, v2 in c2.coeffs.items():
+                    yield e1, e2, d1 + d2, v1 * v2
+
+
+def assert_canonical(p):
+    assert all(c.coeffs for c in p.terms.values())
+    assert all(type(v) is Fraction and v
+               for c in p.terms.values() for v in c.coeffs.values())
+
+
+class TestIntegerKernel:
+    """Products, outer products, splits and linear substitutions of random
+    symbolic-u DPolys whose coefficients have several denominators, against
+    evaluation at rational points and rational u, and against the same
+    polynomial built term by term in Fraction arithmetic."""
+
+    random_poly = staticmethod(TestEvaluateAgainstNaive.random_poly)
+    random_point = staticmethod(TestEvaluateAgainstNaive.random_point)
+    U_VALUES = (Fraction(-2, 3), Fraction(5, 7), 3)
+    RATIONALS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+
+    def test_product(self, rng):
+        for _ in range(40):
+            legs = rng.randint(1, 3)
+            a, b = self.random_poly(rng, legs), self.random_poly(rng, legs)
+            ab = a * b
+            assert_canonical(ab)
+            assert ab == built_from(legs, [
+                ([i + j for i, j in zip(e1, e2)], d, v)
+                for e1, e2, d, v in pairs(a, b)])
+            for u0 in self.U_VALUES:
+                point = self.random_point(rng, legs)
+                assert (ab.evaluate(point, u0)
+                        == a.evaluate(point, u0) * b.evaluate(point, u0))
+
+    def test_product_cancellation_leaves_no_zero(self):
+        x = var(1, 1)
+        p = (x + u()) * (x - u())
+        assert p.terms == {(2,): UPoly.const(1), (0,): -u() * u()}
+
+    def test_outer(self, rng):
+        for _ in range(40):
+            la = rng.randint(1, 2)
+            lb = rng.randint(1, 3 - la)
+            a, b = self.random_poly(rng, la), self.random_poly(rng, lb)
+            ab = a.outer(b)
+            assert_canonical(ab)
+            assert ab == built_from(la + lb, [
+                (e1 + e2, d, v) for e1, e2, d, v in pairs(a, b)])
+            for u0 in self.U_VALUES:
+                pa, pb = self.random_point(rng, la), self.random_point(rng, lb)
+                assert (ab.evaluate(pa + pb, u0)
+                        == a.evaluate(pa, u0) * b.evaluate(pb, u0))
+
+    def test_outer_beyond_max_legs_raises(self):
+        with pytest.raises(ValueError):
+            var(2, 1).outer(var(2, 2))
+
+    def test_split_variable(self, rng):
+        for _ in range(40):
+            legs = rng.randint(1, 2)
+            slot = rng.randint(1, legs)
+            i = slot - 1
+            p = self.random_poly(rng, legs)
+            q = p.split_variable(slot)
+            assert_canonical(q)
+            assert q == built_from(legs + 1, [
+                (exps[:i] + (j, exps[i] - j) + exps[i + 1:], d,
+                 v * math.comb(exps[i], j))
+                for exps, c in p.terms.items() for d, v in c.coeffs.items()
+                for j in range(exps[i] + 1)])
+            for u0 in self.U_VALUES:
+                point = self.random_point(rng, legs + 1)
+                image = point[:i] + [point[i] + point[i + 1]] + point[i + 2:]
+                assert q.evaluate(point, u0) == p.evaluate(image, u0)
+
+    def test_substitute_linear_with_rational_scales_and_offsets(self, rng):
+        for _ in range(40):
+            legs = rng.randint(1, 3)
+            p = self.random_poly(rng, legs)
+            scales = [rng.choice(self.RATIONALS) for _ in range(legs)]
+            offsets = [rng.choice(self.RATIONALS + (0,)) for _ in range(legs)]
+            q = p.substitute_linear(scales, offsets)
+            assert_canonical(q)
+            contributions = []
+            for exps, c in p.terms.items():
+                for js in itertools.product(*(range(e + 1) for e in exps)):
+                    k = Fraction(1)
+                    for e, j, s, o in zip(exps, js, scales, offsets):
+                        k *= math.comb(e, j) * Fraction(s) ** j
+                        k *= Fraction(o) ** (e - j)
+                    contributions += [(js, d, v * k)
+                                      for d, v in c.coeffs.items()]
+            assert q == built_from(legs, contributions)
+            for u0 in self.U_VALUES:
+                point = self.random_point(rng, legs)
+                image = [s * x + o for s, x, o in zip(scales, point, offsets)]
+                assert q.evaluate(point, u0) == p.evaluate(image, u0)
