@@ -236,20 +236,13 @@ class TensorElement:
         for key, d in self.terms.items():
             if key[i] != (0, 0):
                 continue
-            nk = key[:i] + key[i + 1:]
-            nd = DPoly(self.legs - 1)
-            dterms = {}
-            for exps, c in d.terms.items():
-                if exps[i] != 0:
-                    continue
-                ne = exps[:i] + exps[i + 1:]
-                s = dterms.get(ne)
-                dterms[ne] = c if s is None else s + c
-            nd.terms = {k: v for k, v in dterms.items() if not v.is_zero}
+            nd = DPoly.from_num(self.legs - 1,
+                                {k[:i] + k[i + 1:]: v
+                                 for k, v in d.num.items() if k[i] == 0},
+                                d.den)
             if not nd.is_zero:
-                s = out.get(nk)
-                out[nk] = nd if s is None else s + nd
-        res.terms = {k: v for k, v in out.items() if not v.is_zero}
+                out[key[:i] + key[i + 1:]] = nd
+        res.terms = out
         return res
 
     def counit_scalar(self):

@@ -27,10 +27,8 @@ def _frac_str(c):
 def element_to_dict(e):
     terms = []
     for key in sorted(e.terms):
-        d = e.terms[key]
         dpoly = []
-        for exps in sorted(d.terms):
-            coef = d.terms[exps]
+        for exps, coef in sorted(e.terms[key].terms.items()):
             upoly = [[deg, _frac_str(coef.coeffs[deg])]
                      for deg in sorted(coef.coeffs)]
             dpoly.append({"exps": list(exps), "upoly": upoly})
@@ -149,10 +147,9 @@ def element_to_text(e, ascii_only=False):
     lines = []
     entries = []
     for key in sorted(e.terms):
-        d = e.terms[key]
         grade = sum(p for p, _ in key)
-        for exps in sorted(d.terms):
-            entries.append((grade, key, exps, d.terms[exps]))
+        for exps, coef in sorted(e.terms[key].terms.items()):
+            entries.append((grade, key, exps, coef))
     entries.sort(key=lambda t: (t[0], t[1], t[2]))
     for grade, key, exps, coef in entries:
         legs = sym["otimes"].join(
@@ -181,7 +178,10 @@ def _parse_u(text):
         return None
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            "bad rational %r: zero denominator" % (text,)) from None
+    except ValueError as exc:
         raise argparse.ArgumentTypeError("bad rational %r: %s" % (text, exc))
 
 

@@ -2,10 +2,10 @@
 parameter u, and multivariate polynomials in the commuting dilatation
 variables x, y, z.
 
-All coefficients are arbitrary-precision fractions; there is no floating
-point anywhere in this package.  Products, linear substitutions and
-variable splits sum plain integers over a common denominator and make one
-Fraction per nonzero result coefficient.
+All coefficients are exact rationals; there is no floating point anywhere
+in this package.  A DPoly keeps integer numerators over one denominator,
+so its operations sum plain integers and reduce each result by one gcd;
+Fractions appear only at the edges (UPoly scalars, evaluation, output).
 """
 
 from __future__ import annotations
@@ -171,32 +171,53 @@ def format_upoly(p, var="u"):
 
 
 class DPoly:
-    """Polynomial in up to three commuting variables with UPoly coefficients.
+    """Polynomial in up to three commuting variables whose coefficients are
+    polynomials in u.
 
-    Sparse and canonical: terms map exponent vectors (one entry per leg) to
-    nonzero UPoly values.
+    Stored as integer numerators over one denominator: `num` maps a key
+    (e_1, ..., e_legs, u-degree) to a nonzero int and `den` is a positive
+    int.  The form is canonical: gcd(den, *num.values()) == 1 and den == 1
+    for the zero polynomial, so equal polynomials have equal (legs, den,
+    num).  Every operation sums plain ints and normalises its result once.
     """
 
-    __slots__ = ("legs", "terms")
+    __slots__ = ("legs", "num", "den")
 
     def __init__(self, legs, terms=None):
+        """From {exps: coefficient}, a coefficient being an int, a Fraction
+        or a UPoly."""
         if not 1 <= legs <= MAX_LEGS:
             raise ValueError("legs must be between 1 and %d" % MAX_LEGS)
-        self.legs = legs
-        cleaned = {}
+        coefs = {}
         if terms:
             for exps, c in terms.items():
                 exps = tuple(exps)
                 if len(exps) != legs or any(e < 0 for e in exps):
                     raise ValueError("bad exponent vector %r" % (exps,))
-                c = UPoly.coerce(c)
-                if not c.is_zero:
-                    cleaned[exps] = c
-        self.terms = cleaned
+                for deg, v in UPoly.coerce(c).coeffs.items():
+                    coefs[exps + (deg,)] = v
+        den = math.lcm(*{v.denominator for v in coefs.values()})
+        self.legs = legs
+        self.num, self.den = _reduced(
+            {k: v.numerator * (den // v.denominator)
+             for k, v in coefs.items()}, den)
+
+    @classmethod
+    def from_num(cls, legs, acc, den=1):
+        """The DPoly acc/den, for acc {(e_1, ..., e_legs, u-degree): int}
+        and den a positive int; acc becomes (or is reduced into) its num."""
+        res = cls.__new__(cls)
+        res.legs = legs
+        res.num, res.den = _reduced(acc, den)
+        return res
 
     @classmethod
     def const(cls, legs, value):
-        return cls(legs, {(0,) * legs: UPoly.coerce(value)})
+        if isinstance(value, UPoly):
+            return cls(legs, {(0,) * legs: value})
+        value = _as_fraction(value)
+        return cls.from_num(legs, {(0,) * (legs + 1): value.numerator},
+                            value.denominator)
 
     @classmethod
     def variable(cls, legs, index):
@@ -207,8 +228,20 @@ class DPoly:
         return cls(legs, {exps: 1})
 
     @property
+    def terms(self):
+        """{exps: UPoly}: a fresh read-only view with Fraction coefficients,
+        for output and reports."""
+        out = {}
+        for key, v in self.num.items():
+            p = out.get(key[:-1])
+            if p is None:
+                p = out[key[:-1]] = UPoly()
+            p.coeffs[key[-1]] = Fraction(v, self.den)
+        return out
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def _check_legs(self, other):
         if self.legs != other.legs:
@@ -225,32 +258,28 @@ class DPoly:
             other = DPoly.const(self.legs, other)
         if not isinstance(other, DPoly):
             return NotImplemented
-        return self.legs == other.legs and self.terms == other.terms
+        return (self.legs == other.legs and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.legs, frozenset(self.terms.items())))
+        return hash((self.legs, self.den, frozenset(self.num.items())))
 
     def __add__(self, other):
         other = self.coerce_other(other)
         self._check_legs(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        res = DPoly(self.legs)
-        res.terms = out
-        return res
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g  # the lcm is den * fa
+        acc = ({k: v * fa for k, v in self.num.items()} if fa != 1
+               else dict(self.num))
+        for k, v in other.num.items():
+            acc[k] = acc.get(k, 0) + v * fb
+        return DPoly.from_num(self.legs, acc, self.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = DPoly(self.legs)
-        res.terms = {exps: -c for exps, c in self.terms.items()}
-        return res
+        return DPoly.from_num(self.legs, {k: -v for k, v in self.num.items()},
+                              self.den)
 
     def __sub__(self, other):
         return self + (-self.coerce_other(other))
@@ -259,12 +288,13 @@ class DPoly:
         return self.coerce_other(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, UPoly)):
-            if other == 0:
-                return DPoly(self.legs)
-            res = DPoly(self.legs)
-            res.terms = {exps: c * other for exps, c in self.terms.items()}
-            return res
+        if isinstance(other, (int, Fraction)):
+            n = other.numerator
+            return DPoly.from_num(self.legs,
+                                  {k: v * n for k, v in self.num.items()},
+                                  self.den * other.denominator)
+        if isinstance(other, UPoly):
+            other = DPoly.const(self.legs, other)
         if not isinstance(other, DPoly):
             return NotImplemented
         self._check_legs(other)
@@ -288,19 +318,20 @@ class DPoly:
         return self._product(other, legs, operator.add)
 
     def _product(self, other, legs, join):
-        """Product whose term (e1, e2) lands on join(e1, e2), summed in
-        integers over the product of the two operands' denominators."""
-        La, A = _over_lcm(self.terms)
-        Lb, B = _over_lcm(other.terms)
+        """Product whose monomials e1, e2 land on join(e1, e2), summed in
+        integers over the product of the two denominators.  Each operand's
+        keys are grouped by exponent vector, so the join runs once per pair
+        of monomials, not once per pair of (monomial, u-degree) keys."""
+        B = _by_exps(other.num).items()
         acc = {}
-        for e1, c1 in A.items():
-            for e2, c2 in B.items():
-                out = acc.setdefault(join(e1, e2), {})
+        for e1, c1 in _by_exps(self.num).items():
+            for e2, c2 in B:
+                e = join(e1, e2)
                 for d1, v1 in c1:
                     for d2, v2 in c2:
-                        d = d1 + d2
-                        out[d] = out.get(d, 0) + v1 * v2
-        return _from_ints(legs, acc, La * Lb)
+                        k = e + (d1 + d2,)
+                        acc[k] = acc.get(k, 0) + v1 * v2
+        return DPoly.from_num(legs, acc, self.den * other.den)
 
     def substitute_linear(self, scales, offsets):
         """Replace each variable x_i by scales[i]*x_i + offsets[i].
@@ -308,19 +339,18 @@ class DPoly:
         With s = S/l and c = C/l over l = lcm of their denominators and m
         the top exponent of the leg, (s*x + c)^e times l^m expands once per
         call into the integer terms (j, C(e, j) S^j C^(e-j) l^(m-e)).  A
-        term's image is the product of these lists across the legs; the
-        sum runs in integers over L * prod l^m, L the lcm of the
-        coefficient denominators.
+        monomial's image is the product of these lists across the legs; the
+        sum runs in integers over den * prod l^m.
         """
         scales = [_as_fraction(s) for s in scales]
         offsets = [_as_fraction(c) for c in offsets]
         lcms = [math.lcm(s.denominator, c.denominator)
                 for s, c in zip(scales, offsets)]
-        tops = [max(col) for col in zip(*self.terms)] or [0] * self.legs
-        L, coefs = _over_lcm(self.terms)
+        groups = _by_exps(self.num)
+        tops = [max(col) for col in zip(*groups)] or [0] * self.legs
         expansions = [{} for _ in range(self.legs)]
         acc = {}
-        for exps, coef in coefs.items():
+        for exps, coef in groups.items():
             images = [((), 1)]
             for i, e in enumerate(exps):
                 table = expansions[i].get(e)
@@ -334,11 +364,11 @@ class DPoly:
                 images = [(js + (j,), k * kj)
                           for js, k in images for j, kj in table]
             for js, k in images:
-                out = acc.setdefault(js, {})
                 for deg, v in coef:
-                    out[deg] = out.get(deg, 0) + v * k
-        den = L * math.prod([l**m for l, m in zip(lcms, tops)])
-        return _from_ints(self.legs, acc, den)
+                    key = js + (deg,)
+                    acc[key] = acc.get(key, 0) + v * k
+        den = self.den * math.prod([l**m for l, m in zip(lcms, tops)])
+        return DPoly.from_num(self.legs, acc, den)
 
     def shift(self, offsets):
         """Replace each variable x_i by x_i + offsets[i]."""
@@ -356,49 +386,40 @@ class DPoly:
         if self.legs >= MAX_LEGS:
             raise ValueError("cannot split beyond %d variables" % MAX_LEGS)
         i = slot - 1
-        L, coefs = _over_lcm(self.terms)
         acc = {}
-        for exps, coef in coefs.items():
-            e = exps[i]
+        for key, v in self.num.items():
+            e = key[i]
             for j in range(e + 1):
-                b = math.comb(e, j)
-                key = exps[:i] + (j, e - j) + exps[i + 1:]
-                acc[key] = {deg: v * b for deg, v in coef}
-        return _from_ints(self.legs + 1, acc, L)
+                acc[key[:i] + (j, e - j) + key[i + 1:]] = v * math.comb(e, j)
+        return DPoly.from_num(self.legs + 1, acc, self.den)
 
     def evaluate(self, point, u_value=0):
         """Exact value at a rational point (one entry per variable).
 
-        The sum runs in integers over one common denominator.  With
-        x_i = a_i/b_i, u = p/q, m_i the top exponent of leg i, n the top
-        u-degree and L the lcm of the coefficient denominators, the term
-        c u^d prod x_i^e_i contributes c*L * p^d q^(n-d) * prod a_i^e_i
-        b_i^(m_i-e_i) over the denominator L q^n prod b_i^m_i.
+        The sum runs in integers.  With x_i = a_i/b_i and u = a/b read as one
+        more variable, and m_i the top exponent of each, the key
+        (e_1, ..., u-degree) with numerator v contributes
+        v * prod a_i^e_i b_i^(m_i-e_i) over den * prod b_i^m_i.
         """
         if len(point) != self.legs:
             raise ValueError("point must assign every variable")
-        coefs = [c.coeffs for c in self.terms.values()]
-        tops = [max(col) for col in zip(*self.terms)] or [0] * self.legs
-        n = max(map(max, coefs), default=0)
-        L = math.lcm(*{x.denominator for c in coefs for x in c.values()})
-        u_table = _ratio_powers(u_value, n)
-        tables = [_ratio_powers(v, m) for v, m in zip(point, tops)]
+        tops = [max(col) for col in zip(*self.num)] or [0] * (self.legs + 1)
+        tables = [_ratio_powers(v, m)
+                  for v, m in zip((*point, u_value), tops)]
         total = 0
-        for exps, c in zip(self.terms, coefs):
-            s = 0
-            for d, x in c.items():
-                s += x.numerator * (L // x.denominator) * u_table[d]
-            total += s * math.prod(map(list.__getitem__, tables, exps))
-        den = L * u_table[0] * math.prod([t[0] for t in tables])
-        return Fraction(total, den)
+        for key, v in self.num.items():
+            total += v * math.prod(map(list.__getitem__, tables, key))
+        return Fraction(total, self.den * math.prod([t[0] for t in tables]))
 
     def specialize_u(self, u0):
-        res = DPoly(self.legs)
-        for exps, coef in self.terms.items():
-            v = coef(u0)
-            if v:
-                res.terms[exps] = UPoly.const(v)
-        return res
+        """The polynomial at u = u0: every u-degree becomes 0."""
+        n = max((key[-1] for key in self.num), default=0)
+        u_table = _ratio_powers(u0, n)
+        acc = {}
+        for key, v in self.num.items():
+            k = key[:-1] + (0,)
+            acc[k] = acc.get(k, 0) + v * u_table[key[-1]]
+        return DPoly.from_num(self.legs, acc, self.den * u_table[0])
 
     def __repr__(self):
         return "DPoly(%d, %r)" % (self.legs, self.terms)
@@ -407,8 +428,7 @@ class DPoly:
         if self.is_zero:
             return "0"
         parts = []
-        for exps in sorted(self.terms):
-            coef = self.terms[exps]
+        for exps, coef in sorted(self.terms.items()):
             mono = "*".join(
                 VAR_NAMES[i] if e == 1 else "%s^%d" % (VAR_NAMES[i], e)
                 for i, e in enumerate(exps) if e > 0)
@@ -423,26 +443,26 @@ def _add_exps(e1, e2):
     return tuple(map(operator.add, e1, e2))
 
 
-def _over_lcm(terms):
-    """(L, {exps: [(u-degree, int)]}): the coefficients of a DPoly's terms
-    as integer numerators over L, the lcm of their denominators."""
-    L = math.lcm(*{c.denominator for p in terms.values()
-                   for c in p.coeffs.values()})
-    return L, {exps: [(d, c.numerator * (L // c.denominator))
-                      for d, c in p.coeffs.items()]
-               for exps, p in terms.items()}
+def _reduced(acc, den):
+    """(num, den) of the polynomial acc/den in canonical form: zero
+    numerators dropped, both divided by gcd(den, *numerators).  The dict
+    acc is taken over, not copied."""
+    if 0 in acc.values():
+        acc = {k: v for k, v in acc.items() if v}
+    g = math.gcd(den, *acc.values())
+    if g != 1:
+        acc = {k: v // g for k, v in acc.items()}
+        den //= g
+    return acc, den
 
 
-def _from_ints(legs, acc, den):
-    """The DPoly of {exps: {u-degree: int}} over the denominator den: one
-    Fraction per nonzero coefficient, no zero stored."""
-    res = DPoly(legs)
-    for exps, coeffs in acc.items():
-        coeffs = {d: Fraction(n, den) for d, n in coeffs.items() if n}
-        if coeffs:
-            p = res.terms[exps] = UPoly()
-            p.coeffs = coeffs
-    return res
+def _by_exps(num):
+    """{exps: [(u-degree, numerator)]}: the keys of num grouped by their
+    exponent vector."""
+    out = {}
+    for key, v in num.items():
+        out.setdefault(key[:-1], []).append((key[-1], v))
+    return out
 
 
 def _ratio_powers(v, m):

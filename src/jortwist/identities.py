@@ -11,7 +11,6 @@ so every instance with the same number of legs is sampled at the same points.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import MAX_LEGS, DPoly, UPoly, binom_poly, int_binom
@@ -22,13 +21,15 @@ SAMPLE_COUNT = 20
 SAMPLE_SEED = 20201214
 
 
-@dataclass
 class IdentityInstance:
-    chain: str
-    params: dict
-    lhs: DPoly
-    rhs: DPoly
-    equal: bool
+    """One identity at fixed indices: both sides and whether they agree."""
+
+    def __init__(self, chain, params, lhs, rhs, equal):
+        self.chain = chain
+        self.params = params
+        self.lhs = lhs
+        self.rhs = rhs
+        self.equal = equal
 
 
 def _draw_points(legs):

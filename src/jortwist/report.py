@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class VerificationReport:
     """Outcome of one check, with per-grade detail.
 
     `grades` maps each kappa-grade up to the truncation to a boolean;
     `failure` holds the lowest-grade differing monomial when a comparison
     failed; `notes` carries informational findings (e.g. which printed sign
-    a computed antipode matches).
+    a computed antipode matches).  A plain class rather than a dataclass:
+    `dataclasses` imports `inspect`, which would add to every CLI start.
     """
 
-    check: str
-    params: dict
-    passed: bool
-    grades: dict = field(default_factory=dict)
-    failure: dict | None = None
-    notes: list = field(default_factory=list)
+    def __init__(self, check, params, passed, grades=None, failure=None,
+                 notes=None):
+        self.check = check
+        self.params = params
+        self.passed = passed
+        self.grades = {} if grades is None else grades
+        self.failure = failure
+        self.notes = [] if notes is None else notes
 
     def to_dict(self):
         return {

@@ -1,7 +1,11 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,15 @@ class TestExpand:
             cli.main(["expand", "--family", "L", "--order", "1",
                       "--u", "1/0"])
         assert exc.value.code == 2
+
+    def test_zero_denominator_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--check", "lr", "--order", "1",
+                      "--u", "3/0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == ("jortwist verify: error: argument --u: "
+                       "bad rational '3/0': zero denominator")
 
 
 class TestVerify:
@@ -341,3 +354,14 @@ class TestSerialization:
     def test_text_of_zero(self):
         from jortwist.borel import TensorElement
         assert element_to_text(TensorElement.zero(1, 2)) == "0"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every command is a fresh process, which would pay for these imports
+    probe = ("import sys, jortwist.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

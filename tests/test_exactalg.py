@@ -359,3 +359,70 @@ class TestIntegerKernel:
                 point = self.random_point(rng, legs)
                 image = [s * x + o for s, x, o in zip(scales, point, offsets)]
                 assert q.evaluate(point, u0) == p.evaluate(image, u0)
+
+
+def assert_canonical_storage(p):
+    """The stored form: integer numerators, none zero, over a positive
+    denominator sharing no factor with them, which is 1 for zero."""
+    nums = list(p.num.values())
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int and v for v in nums)
+    assert math.gcd(p.den, *nums) == 1
+    assert nums or p.den == 1
+    assert all(len(key) == p.legs + 1 for key in p.num)
+    assert DPoly(p.legs, p.terms) == p
+
+
+class TestCanonicalForm:
+    """Every operation leaves its result in the one canonical form, so
+    equal polynomials built two ways compare and hash alike."""
+
+    random_poly = staticmethod(TestEvaluateAgainstNaive.random_poly)
+    RATIONALS = TestIntegerKernel.RATIONALS
+
+    def results(self, rng):
+        """(name, result) of each operation on random operands, with
+        cancelling cases mixed in."""
+        legs = rng.randint(1, 3)
+        a, b = self.random_poly(rng, legs), self.random_poly(rng, legs)
+        c = rng.choice(self.RATIONALS)
+        yield "add", a + b
+        yield "sub", a - b
+        yield "sub-self", a - a
+        yield "mul", a * b
+        yield "scalar", a * c
+        yield "scalar-zero", a * 0
+        yield "upoly", a * UPoly({0: c, 1: Fraction(1, 6)})
+        yield "mixed-scalars", a * 6 - a * Fraction(1, 2) + a
+        yield "substitute", a.substitute_linear(
+            [rng.choice(self.RATIONALS) for _ in range(legs)],
+            [rng.choice(self.RATIONALS + (0,)) for _ in range(legs)])
+        yield "specialize", a.specialize_u(rng.choice(self.RATIONALS + (0,)))
+        if legs < 3:
+            yield "outer", a.outer(self.random_poly(rng, 3 - legs))
+            yield "split", a.split_variable(rng.randint(1, legs))
+
+    def test_every_result_is_canonical(self, rng):
+        for _ in range(40):
+            for name, p in self.results(rng):
+                try:
+                    assert_canonical_storage(p)
+                except AssertionError:
+                    raise AssertionError("%s: %r over %d"
+                                         % (name, p.num, p.den))
+
+    def test_equal_polynomials_built_two_ways_hash_alike(self, rng):
+        for _ in range(40):
+            legs = rng.randint(1, 3)
+            a, c = self.random_poly(rng, legs), self.random_poly(rng, legs)
+            k = rng.choice(self.RATIONALS)
+            for other in ((a + c) - c, (a * k) * (1 / Fraction(k)),
+                          DPoly(legs, a.terms),
+                          a.shift([1] * legs).shift([-1] * legs)):
+                assert other == a
+                assert hash(other) == hash(a)
+                assert (other.den, other.num) == (a.den, a.num)
+        zero = DPoly(2)
+        assert zero == (var(2, 1) - var(2, 1)) == var(2, 1) * 0
+        assert hash(zero) == hash(var(2, 1) - var(2, 1)) == hash(
+            var(2, 1) * 0)
