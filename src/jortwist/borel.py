@@ -45,8 +45,9 @@ class TensorElement:
         cleaned = {}
         if terms:
             for key, d in terms.items():
-                key = tuple((int(p), int(q)) for p, q in key)
-                if len(key) != legs or any(p < 0 or q < 0 for p, q in key):
+                key = tuple((p, q) for p, q in key)
+                if len(key) != legs or not all(isinstance(n, int) and n >= 0
+                                               for leg in key for n in leg):
                     raise ValueError("bad momentum key %r" % (key,))
                 if _key_grade(key) > truncation:
                     continue
@@ -82,12 +83,6 @@ class TensorElement:
     @classmethod
     def dilatation(cls, truncation):
         return cls(1, truncation, {((0, 0),): DPoly.variable(1, 1)})
-
-    @classmethod
-    def monomial(cls, truncation, pdeg, qdeg, ddeg):
-        """1-leg P^p Q^q D^d (with the implicit kappa^-p)."""
-        return cls(1, truncation,
-                   {((pdeg, qdeg),): DPoly(1, {(ddeg,): 1})})
 
     # -- structure ---------------------------------------------------------
 
@@ -274,23 +269,29 @@ class TensorElement:
         """Multiply the two legs after applying S to one of them.
 
         side="right" computes sum f1 * S(f2), side="left" sum S(f1) * f2.
+        With s_i = a_i + b_i, the term P^a1 Q^b1 (x) P^a2 Q^b2 d(x, y)
+        folds to P^(a1+a2) Q^(b1+b2) times (-1)^s2 d(D - s2, -D + s2) on
+        the right and (-1)^s1 d(-D + s1 + s2, D) on the left.
         """
         if self.legs != 2:
             raise ValueError("fold_mul_antipode needs a 2-leg element")
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
-        N = self.truncation
-        out = TensorElement.zero(1, N)
+        out = {}
         for ((a1, b1), (a2, b2)), d in self.terms.items():
-            for (e1, e2), c in d.terms.items():
-                m1 = TensorElement.monomial(N, a1, b1, e1)
-                m2 = TensorElement.monomial(N, a2, b2, e2)
-                if side == "right":
-                    prod = m1 * m2.antipode()
-                else:
-                    prod = m1.antipode() * m2
-                out = out + prod.scale(c)
-        return out
+            s1, s2 = a1 + b1, a2 + b2
+            if side == "right":
+                sign, nd = s2, d.substitute_linear([1, -1], [-s2, s2])
+            else:
+                sign, nd = s1, d.substitute_linear([-1, 1], [s1 + s2, 0])
+            acc = {}
+            for (e1, e2, deg), v in nd.num.items():
+                k = (e1 + e2, deg)
+                acc[k] = acc.get(k, 0) + (-v if sign % 2 else v)
+            folded = DPoly.from_num(1, acc, nd.den)
+            key = ((a1 + a2, b1 + b2),)
+            out[key] = out[key] + folded if key in out else folded
+        return TensorElement(1, self.truncation, out)
 
     # -- parameter handling ------------------------------------------------
 

@@ -96,6 +96,14 @@ def element_from_dict(data):
                      _field(leg, "q", int, lat + ".q"))
                     for lat, leg in _entries(t, "legs", dict, at + ".legs",
                                              legs))
+        grade = sum(p for p, _ in key)
+        if grade > truncation:
+            raise ValueError("%s.legs: grade %d exceeds the truncation %d"
+                             % (at, grade, truncation))
+        power = _field(t, "kappa_power", int, at + ".kappa_power")
+        if power != grade:
+            raise ValueError("%s.kappa_power: expected %d, the sum of the "
+                             "legs' p, got %d" % (at, grade, power))
         dterms = {}
         for mat, mono in _entries(t, "dpoly", dict, at + ".dpoly"):
             coeffs = {}
@@ -322,7 +330,7 @@ def _cmd_identities(args, parser):
         parser.error("--bound applies to --bigident and --chain only")
     reports = []
     if args.bigident:
-        reports.append(identities.run_bigident_suite(args.bound))
+        reports.append(identities.verify_identity_chain("bigident", args.bound))
     if args.chain:
         reports.append(identities.verify_identity_chain(args.chain, args.bound))
     if args.det is not None:

@@ -39,10 +39,10 @@ class UPoly:
         cleaned = {}
         if coeffs:
             for deg, c in coeffs.items():
+                if not isinstance(deg, int) or deg < 0:
+                    raise ValueError("bad degree %r in UPoly" % (deg,))
                 c = _as_fraction(c)
                 if c:
-                    if deg < 0:
-                        raise ValueError("negative degree in UPoly")
                     cleaned[deg] = c
         self.coeffs = cleaned
 
@@ -192,7 +192,8 @@ class DPoly:
         if terms:
             for exps, c in terms.items():
                 exps = tuple(exps)
-                if len(exps) != legs or any(e < 0 for e in exps):
+                if len(exps) != legs or not all(
+                        isinstance(e, int) and e >= 0 for e in exps):
                     raise ValueError("bad exponent vector %r" % (exps,))
                 for deg, v in UPoly.coerce(c).coeffs.items():
                     coefs[exps + (deg,)] = v

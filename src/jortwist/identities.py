@@ -17,6 +17,15 @@ from .exactalg import MAX_LEGS, DPoly, UPoly, binom_poly, int_binom
 from .report import VerificationReport
 
 DEFAULT_BOUNDS = {"bigident": 4, "L": 4, "R": 3}  # by suite or chain
+# suite or chain -> (report name, instances(bound)); verify_identity_chain
+# runs any entry.  The entries call the generators by their module names, so
+# that a wrapper installed on a module attribute (a tracer, a mock) sees
+# each call.
+SUITES = {
+    "bigident": ("bigident", lambda bound: _bigident_instances(bound)),
+    "L": ("chain-L", lambda bound: _chain_L_instances(bound)),
+    "R": ("chain-R", lambda bound: _chain_R_instances(bound)),
+}
 SAMPLE_COUNT = 20
 SAMPLE_SEED = 20201214
 
@@ -63,26 +72,7 @@ def verify_bigident(k, l, A, C):
       = binom(z, k-A) sum_{l1=0}^{C} binom(x, l-l1) binom(y,l1)
                   binom(y+z-l1+A-k, A) binom(l-l1, l-C).
     """
-    if not (0 <= A <= k and 0 <= C <= l):
-        raise ValueError("need 0 <= A <= k and 0 <= C <= l")
-    x = DPoly.variable(3, 1)
-    y = DPoly.variable(3, 2)
-    z = DPoly.variable(3, 3)
-    lhs = DPoly(3)
-    for k1 in range(A + 1):
-        lhs = lhs + (binom_poly(y, k1)
-                     * binom_poly(x + y - k1 + C - l, C)
-                     * int_binom(k - k1, k - A)
-                     * binom_poly(z, k - k1))
-    lhs = binom_poly(x, l - C) * lhs
-    rhs = DPoly(3)
-    for l1 in range(C + 1):
-        rhs = rhs + (binom_poly(x, l - l1)
-                     * binom_poly(y, l1)
-                     * binom_poly(y + z - l1 + A - k, A)
-                     * int_binom(l - l1, l - C))
-    rhs = binom_poly(z, k - A) * rhs
-    return _instance("bigident", {"k": k, "l": l, "A": A, "C": C}, lhs, rhs)
+    return _bigident("bigident", k, l, A, C, range(A + 1), range(C + 1))
 
 
 def verify_bigident_index_swap(k, l, A, C):
@@ -91,47 +81,43 @@ def verify_bigident_index_swap(k, l, A, C):
     A mechanical reindexing must not change either side; this checks that
     the summation really is insensitive to the interchange of indices.
     """
+    return _bigident("bigident-swap", k, l, A, C,
+                     range(A, -1, -1), range(C, -1, -1))
+
+
+def _bigident(chain, k, l, A, C, k1s, l1s):
+    """The identity of verify_bigident, its sums run over k1s and l1s."""
     if not (0 <= A <= k and 0 <= C <= l):
         raise ValueError("need 0 <= A <= k and 0 <= C <= l")
     x = DPoly.variable(3, 1)
     y = DPoly.variable(3, 2)
     z = DPoly.variable(3, 3)
     lhs = DPoly(3)
-    for k1 in range(A + 1):
-        j = A - k1
-        lhs = lhs + (binom_poly(y, j)
-                     * binom_poly(x + y - j + C - l, C)
-                     * int_binom(k - j, k - A)
-                     * binom_poly(z, k - j))
+    for k1 in k1s:
+        lhs = lhs + (binom_poly(y, k1)
+                     * binom_poly(x + y - k1 + C - l, C)
+                     * int_binom(k - k1, k - A)
+                     * binom_poly(z, k - k1))
     lhs = binom_poly(x, l - C) * lhs
     rhs = DPoly(3)
-    for l1 in range(C + 1):
-        j = C - l1
-        rhs = rhs + (binom_poly(x, l - j)
-                     * binom_poly(y, j)
-                     * binom_poly(y + z - j + A - k, A)
-                     * int_binom(l - j, l - C))
+    for l1 in l1s:
+        rhs = rhs + (binom_poly(x, l - l1)
+                     * binom_poly(y, l1)
+                     * binom_poly(y + z - l1 + A - k, A)
+                     * int_binom(l - l1, l - C))
     rhs = binom_poly(z, k - A) * rhs
-    return _instance("bigident-swap", {"k": k, "l": l, "A": A, "C": C}, lhs, rhs)
+    return _instance(chain, {"k": k, "l": l, "A": A, "C": C}, lhs, rhs)
 
 
-def run_bigident_suite(bound=None):
-    if bound is None:
-        bound = DEFAULT_BOUNDS["bigident"]
-    passed = True
-    failure = None
+def _bigident_instances(bound):
+    """Both summation orders of every bigident instance with k, l <= bound,
+    one instance at a time."""
     for k in range(bound + 1):
         for l in range(bound + 1):
             for A in range(k + 1):
                 for C in range(l + 1):
-                    inst = verify_bigident(k, l, A, C)
-                    swap = verify_bigident_index_swap(k, l, A, C)
-                    ok = inst.equal and swap.equal
-                    if not ok and failure is None:
-                        failure = {"params": inst.params}
-                    passed = passed and ok
-    return VerificationReport("bigident", {"bound": bound}, passed,
-                              failure=failure)
+                    yield verify_bigident(k, l, A, C)
+                    yield verify_bigident_index_swap(k, l, A, C)
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +260,27 @@ def _chain_R_instances(bound):
 
 
 def verify_identity_chain(chain, bound=None):
-    """Run a full identity chain; returns a single report."""
-    if chain not in ("L", "R"):
-        raise ValueError("chain must be 'L' or 'R'")
+    """Run the identity suite SUITES[chain] ("bigident", "L" or "R") up to
+    `bound`, by default DEFAULT_BOUNDS[chain]; returns a single report that
+    counts the instances and names the first failing one."""
+    if chain not in SUITES:
+        raise ValueError("chain must be one of %s"
+                         % ", ".join(map(repr, SUITES)))
     if bound is None:
         bound = DEFAULT_BOUNDS[chain]
-    instances = (_chain_L_instances if chain == "L"
-                 else _chain_R_instances)(bound)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative, got %d" % bound)
+    check, instances = SUITES[chain]
+    count = 0
     failure = None
-    for inst in instances:
+    for inst in instances(bound):
+        count += 1
         if not inst.equal and failure is None:
             failure = {"chain": inst.chain, "params": inst.params,
                        "left": str(inst.lhs), "right": str(inst.rhs)}
-    return VerificationReport("chain-%s" % chain, {"bound": bound},
-                              failure is None, failure=failure,
-                              notes=["%d instances checked" % len(instances)])
+    return VerificationReport(check, {"bound": bound}, failure is None,
+                              failure=failure,
+                              notes=["%d instances checked" % count])
 
 
 # ---------------------------------------------------------------------------

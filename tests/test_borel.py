@@ -258,6 +258,23 @@ class TestFoldAntipode:
         target = -((TensorElement.one(1, n) - P(n)) * D(n))
         assert sfd == target
 
+    def test_matches_the_leg_products_randomized(self, rng):
+        # oracle: the definition, one D-monomial of each leg at a time
+        def mono(p, q, e, n):
+            return TensorElement(1, n, {((p, q),): DPoly(1, {(e,): 1})})
+
+        for _ in range(25):
+            element = random_element(rng, 2, 3)
+            for side in ("right", "left"):
+                expected = TensorElement.zero(1, 3)
+                for ((a1, b1), (a2, b2)), d in element.terms.items():
+                    for (e1, e2), c in d.terms.items():
+                        m1, m2 = mono(a1, b1, e1, 3), mono(a2, b2, e2, 3)
+                        prod = (m1 * m2.antipode() if side == "right"
+                                else m1.antipode() * m2)
+                        expected = expected + prod.scale(c)
+                assert element.fold_mul_antipode(side) == expected
+
 
 class TestConjugate:
     def test_trivial_twist(self):
@@ -311,3 +328,11 @@ class TestEquality:
 
     def test_no_difference(self):
         assert first_difference(_closed_F0(2), _closed_F0(2)) is None
+
+
+@pytest.mark.parametrize("key", [((1.5, 0),), ((0, 2.0),),
+                                 ((Fraction(1), 0),), ((-1, 0),)])
+def test_non_integer_or_negative_momentum_degree_rejected(key):
+    # int() used to truncate 1.5 to 1 and let the term in
+    with pytest.raises(ValueError, match="bad momentum key"):
+        TensorElement(1, 3, {key: 1})

@@ -347,6 +347,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(field)):
             element_from_dict(data)
 
+    @pytest.mark.parametrize("corrupt,field", [
+        (lambda d: d["terms"][1].update(kappa_power=7),
+         "terms[1].kappa_power: expected 1, the sum of the legs' p, got 7"),
+        (lambda d: d["terms"][1].pop("kappa_power"),
+         "terms[1].kappa_power: missing"),
+        (lambda d: d.update(truncation=1),
+         "terms[3].legs: grade 2 exceeds the truncation 1"),
+    ])
+    def test_inconsistent_term_is_named(self, corrupt, field):
+        # kappa_power used to go unread, and a term above the truncation
+        # used to be dropped without a word
+        data = element_to_dict(twists.build_twist("L", "twist", 2))
+        corrupt(data)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            element_from_dict(data)
+
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="expected a JSON object"):
             element_from_dict([])

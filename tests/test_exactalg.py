@@ -426,3 +426,15 @@ class TestCanonicalForm:
         assert zero == (var(2, 1) - var(2, 1)) == var(2, 1) * 0
         assert hash(zero) == hash(var(2, 1) - var(2, 1)) == hash(
             var(2, 1) * 0)
+
+
+@pytest.mark.parametrize("exps", [(1.5,), (2.0,), (Fraction(1),), (-1,)])
+def test_non_integer_or_negative_exponent_rejected(exps):
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        DPoly(1, {exps: 1})
+
+
+@pytest.mark.parametrize("deg", [1.5, 2.0, Fraction(1), -1])
+def test_non_integer_or_negative_u_degree_rejected(deg):
+    with pytest.raises(ValueError, match="bad degree"):
+        UPoly({deg: 1})

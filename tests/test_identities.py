@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from jortwist import identities
 from jortwist.exactalg import MAX_LEGS, DPoly, binom_poly, int_binom
 from jortwist.identities import (SAMPLE_COUNT, SAMPLE_POINTS, SAMPLE_SEED,
                                  _sample_check, independence_det,
-                                 independence_matrix, run_bigident_suite,
+                                 independence_matrix,
                                  verify_bigident, verify_bigident_index_swap,
                                  verify_identity_chain)
 
@@ -24,7 +25,7 @@ class TestBigIdentity:
         assert inst.lhs == DPoly.variable(3, 3)
 
     def test_exhaustive_small_bound(self):
-        rep = run_bigident_suite(bound=3)
+        rep = verify_identity_chain("bigident", bound=3)
         assert rep.passed
 
     def test_index_interchange(self):
@@ -103,6 +104,33 @@ class TestChains:
         y = DPoly.variable(2, 2)
         assert binom_poly(y - 1 - 2, 0) == DPoly.const(2, 1)
         assert binom_poly(-y + 2, 0) == DPoly.const(2, 1)
+
+
+class TestSuites:
+    @pytest.mark.parametrize("chain", ["bigident", "L", "R"])
+    def test_negative_bound_rejected(self, chain):
+        # a bound of -1 used to pass with 0 instances
+        with pytest.raises(ValueError, match="bound must be nonnegative"):
+            verify_identity_chain(chain, -1)
+
+    def test_broken_bigident_instance_is_reported(self, monkeypatch):
+        real = identities.verify_bigident
+        good = real(1, 1, 1, 0)
+
+        def slipped(k, l, A, C):
+            if (k, l, A, C) != (1, 1, 1, 0):
+                return real(k, l, A, C)
+            return identities._instance("bigident", good.params, good.lhs,
+                                        good.rhs + 1)
+
+        monkeypatch.setattr(identities, "verify_bigident", slipped)
+        rep = verify_identity_chain("bigident", 1)
+        assert not rep.passed
+        assert rep.failure == {"chain": "bigident",
+                               "params": {"k": 1, "l": 1, "A": 1, "C": 0},
+                               "left": str(good.lhs),
+                               "right": str(good.rhs + 1)}
+        assert rep.notes == ["18 instances checked"]
 
 
 class TestIndependenceDet:
