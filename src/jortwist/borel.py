@@ -148,11 +148,14 @@ class TensorElement:
         self._check_shape(other)
         N = self.truncation
         out = {}
-        # group the right factor by the D-shift it induces on the left
+        # group the right factor by the D-shift it induces on the left; each
+        # of its DPolys meets many left terms, so it is grouped by exponent
+        # vector once here rather than by every product
         by_offset = {}
         for kb, db in other.terms.items():
             offsets = tuple(-(p + q) for p, q in kb)
-            by_offset.setdefault(offsets, []).append((_key_grade(kb), kb, db))
+            by_offset.setdefault(offsets, []).append(
+                (_key_grade(kb), kb, db.grouped()))
         for ka, da in self.terms.items():
             room = N - _key_grade(ka)
             for offsets, entries in by_offset.items():

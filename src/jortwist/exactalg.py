@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import chain, repeat
 
 MAX_LEGS = 3
 VAR_NAMES = ("x", "y", "z")
@@ -318,14 +319,28 @@ class DPoly:
             raise ValueError("outer product exceeds %d legs" % MAX_LEGS)
         return self._product(other, legs, operator.add)
 
+    def grouped(self):
+        """This polynomial, sharing num, with its keys grouped by exponent
+        vector once: a factor of many products or shifts, such as a term of
+        a TensorElement product, is then not regrouped by each of them."""
+        res = _Grouped.__new__(_Grouped)
+        res.legs, res.num, res.den = self.legs, self.num, self.den
+        res.groups = _by_exps(self.num)
+        return res
+
+    def _grouped(self):
+        """{exps: [(u-degree, numerator)]}: num's keys grouped by exponent
+        vector."""
+        return _by_exps(self.num)
+
     def _product(self, other, legs, join):
         """Product whose monomials e1, e2 land on join(e1, e2), summed in
         integers over the product of the two denominators.  Each operand's
         keys are grouped by exponent vector, so the join runs once per pair
         of monomials, not once per pair of (monomial, u-degree) keys."""
-        B = _by_exps(other.num).items()
+        B = other._grouped().items()
         acc = {}
-        for e1, c1 in _by_exps(self.num).items():
+        for e1, c1 in self._grouped().items():
             for e2, c2 in B:
                 e = join(e1, e2)
                 for d1, v1 in c1:
@@ -347,7 +362,7 @@ class DPoly:
         offsets = [_as_fraction(c) for c in offsets]
         lcms = [math.lcm(s.denominator, c.denominator)
                 for s, c in zip(scales, offsets)]
-        groups = _by_exps(self.num)
+        groups = self._grouped()
         tops = [max(col) for col in zip(*groups)] or [0] * self.legs
         expansions = [{} for _ in range(self.legs)]
         acc = {}
@@ -395,22 +410,50 @@ class DPoly:
         return DPoly.from_num(self.legs + 1, acc, self.den)
 
     def evaluate(self, point, u_value=0):
-        """Exact value at a rational point (one entry per variable).
+        """Exact value at a rational point (one entry per variable): the
+        one-point case of `value_ratios`."""
+        (num,), (den,) = self.value_ratios((tuple(point),), u_value)
+        return Fraction(num, den)
 
-        The sum runs in integers.  With x_i = a_i/b_i and u = a/b read as one
-        more variable, and m_i the top exponent of each, the key
-        (e_1, ..., u-degree) with numerator v contributes
-        v * prod a_i^e_i b_i^(m_i-e_i) over den * prod b_i^m_i.
+    def value_ratios(self, points, u_value=0):
+        """(nums, dens): the exact values at `points`, a tuple of tuples, as
+        two lists of ints, value j being nums[j]/dens[j] with dens[j] > 0,
+        not reduced.
+
+        With x_i = a_i/b_i at a point, u = a/b, and m_i the top exponent of
+        each, the key (e_1, ..., u-degree) with numerator v contributes
+        v * a^deg b^(m-deg) * prod a_i^e_i b_i^(m_i-e_i) over
+        den * b^m * prod b_i^m_i.  The u part is the same at every point, so
+        each monomial's numerators are summed into one int first; that int
+        then meets the monomial's column over the points, the product of
+        its variables' power columns, once.  The power columns are memoised
+        by (points, variable, top exponent) and shared between calls
+        (`_power_columns`).
         """
-        if len(point) != self.legs:
+        legs = self.legs
+        if any(len(p) != legs for p in points):
             raise ValueError("point must assign every variable")
-        tops = [max(col) for col in zip(*self.num)] or [0] * (self.legs + 1)
-        tables = [_ratio_powers(v, m)
-                  for v, m in zip((*point, u_value), tops)]
-        total = 0
+        *tops, top_u = ([max(col) for col in zip(*self.num)]
+                        or [0] * (legs + 1))
+        u_powers = _ratio_powers(u_value, top_u)
+        if not points:
+            return [], []
+        columns = _power_columns(points, tops)
+        coefs = {}
         for key, v in self.num.items():
-            total += v * math.prod(map(list.__getitem__, tables, key))
-        return Fraction(total, self.den * math.prod([t[0] for t in tables]))
+            e = key[:-1]
+            coefs[e] = coefs.get(e, 0) + v * u_powers[key[-1]]
+        nums = [0] * len(points)
+        for e, c in coefs.items():
+            if c:
+                column = map(c.__mul__, columns[0][e[0]])
+                for powers, ei in zip(columns[1:], e[1:]):
+                    column = map(operator.mul, column, powers[ei])
+                nums = list(map(operator.add, nums, column))
+        dens = map((self.den * u_powers[0]).__mul__, columns[0][0])
+        for powers in columns[1:]:
+            dens = map(operator.mul, dens, powers[0])
+        return nums, list(dens)
 
     def specialize_u(self, u0):
         """The polynomial at u = u0: every u-degree becomes 0."""
@@ -438,6 +481,16 @@ class DPoly:
                 cs = "(%s)" % cs
             parts.append("%s*%s" % (cs, mono) if mono else cs)
         return " + ".join(parts)
+
+
+class _Grouped(DPoly):
+    """A DPoly that keeps its keys grouped (DPoly.grouped).  The slot is
+    on this class alone, so a plain DPoly stays three slots small."""
+
+    __slots__ = ("groups",)
+
+    def _grouped(self):
+        return self.groups
 
 
 def _add_exps(e1, e2):
@@ -475,6 +528,34 @@ def _ratio_powers(v, m):
     out = [b**m]
     for _ in range(m):
         out.append(out[-1] // b * a)
+    return out
+
+
+_COLUMNS = {}
+
+
+def _power_columns(points, tops):
+    """For each variable i with top exponent tops[i], the rows
+    [a^e * b^(m-e) for the i-th coordinate a/b of each point] for e in
+    0..m: the numerators of the coordinates' powers over the common
+    denominators b^m, which make up the first row.
+
+    Memoised by (points, i, m), so the returned rows are shared between
+    calls and must not be mutated.  Keying by the caller's points, rather
+    than by a new tuple per call, keeps a hot caller from churning tuples.
+    """
+    # checked before the lookup: 1.0 would find the rows of 1
+    if not all(map(isinstance, chain.from_iterable(points),
+                   repeat((int, Fraction)))):
+        raise TypeError("expected integers or Fractions, got %r" % (points,))
+    out = []
+    for i, m in enumerate(tops):
+        key = (points, i, m)
+        rows = _COLUMNS.get(key)
+        if rows is None:
+            rows = _COLUMNS[key] = list(zip(*[_ratio_powers(p[i], m)
+                                              for p in points]))
+        out.append(rows)
     return out
 
 

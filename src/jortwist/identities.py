@@ -5,13 +5,16 @@ for the three-leg identity) with rational coefficients.  Each identity is
 checked twice: as a canonical polynomial equality and, as a guard against
 transcription slips, by evaluation at seeded random integer points.  The
 points are drawn once per leg count, from a fresh random.Random(SAMPLE_SEED),
-so every instance with the same number of legs is sampled at the same points.
+so every instance with the same number of legs is sampled at the same points,
+and each side is evaluated once over the whole point set
+(DPoly.value_ratios).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 from .exactalg import MAX_LEGS, DPoly, UPoly, binom_poly, int_binom
 from .report import VerificationReport
@@ -51,8 +54,12 @@ SAMPLE_POINTS = {legs: _draw_points(legs) for legs in range(1, MAX_LEGS + 1)}
 
 
 def _sample_check(lhs, rhs):
-    return all(lhs.evaluate(point) == rhs.evaluate(point)
-               for point in SAMPLE_POINTS[lhs.legs])
+    """lhs and rhs agree at every sample point: each side is evaluated
+    once over all the points, and n1/d1 == n2/d2 is tested as
+    n1*d2 == n2*d1, the denominators being positive."""
+    points = SAMPLE_POINTS[lhs.legs]
+    (n1, d1), (n2, d2) = lhs.value_ratios(points), rhs.value_ratios(points)
+    return list(map(mul, n1, d2)) == list(map(mul, n2, d1))
 
 
 def _instance(chain, params, lhs, rhs):

@@ -32,8 +32,13 @@ def argvs():
 
 def digests():
     """{command line: digest of its stdout} for every argv that exits 0."""
+    return digests_of(argvs())
+
+
+def digests_of(argvs):
+    """{command line: digest of its stdout} for each argv that exits 0."""
     out = {}
-    for argv in argvs():
+    for argv in argvs:
         buf = io.StringIO()
         try:
             with contextlib.redirect_stdout(buf), \

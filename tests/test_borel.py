@@ -83,6 +83,33 @@ class TestNormalMul:
                     conv = conv + a.grade_slice(i) * b.grade_slice(n - i)
                 assert conv == (a * b).grade_slice(n)
 
+    def test_right_factors_grouped_once_per_product(self, monkeypatch):
+        from jortwist import exactalg
+        x = DPoly.variable(1, 1)
+        # grade-0 terms only, so each right factor meets every left term
+        a = TensorElement(1, N, {((0, 0),): x**2 + 1, ((0, 1),): x * UPoly.u(),
+                                 ((0, 2),): x**3 - 2})
+        b = TensorElement(1, N, {((0, 0),): x - 3, ((0, 1),): x**2,
+                                 ((0, 3),): x + UPoly.u()})
+        grouped = []
+        by_exps = exactalg._by_exps
+
+        def counting(num):
+            grouped.append(id(num))
+            return by_exps(num)
+
+        monkeypatch.setattr(exactalg, "_by_exps", counting)
+        product = a * b
+        monkeypatch.undo()
+        # oracle: P^0 Q^qa f(D) Q^qb g(D) = Q^(qa+qb) f(D - qb) g(D)
+        expected = {}
+        for ((_, qa),), da in a.terms.items():
+            for ((_, qb),), db in b.terms.items():
+                key = ((0, qa + qb),)
+                expected[key] = expected.get(key, 0) + da.shift([-qb]) * db
+        assert product == TensorElement(1, N, expected)
+        assert [grouped.count(id(d.num)) for d in b.terms.values()] == [1] * 3
+
     def test_products_above_truncation_are_pruned(self, monkeypatch):
         x = DPoly.variable(1, 1)
         left = {((0, 0),): x**2 + 1, ((3, 0),): x * UPoly.u()}

@@ -241,6 +241,71 @@ class TestEvaluateAgainstNaive:
             var(1, 1).evaluate([1], 0.5)
 
 
+def batch_values(poly, points, u0=0):
+    """The values of DPoly.value_ratios as Fractions, after checking that
+    its denominators are positive ints."""
+    nums, dens = poly.value_ratios(tuple(map(tuple, points)), u0)
+    assert len(nums) == len(dens) == len(points)
+    assert all(type(d) is int and d > 0 for d in dens)
+    return list(map(Fraction, nums, dens))
+
+
+class TestValueRatios:
+    """DPoly.value_ratios, the batch evaluator, against the naive oracle."""
+
+    random_poly = staticmethod(TestEvaluateAgainstNaive.random_poly)
+    random_point = staticmethod(TestEvaluateAgainstNaive.random_point)
+
+    @pytest.mark.parametrize("u0", TestEvaluateAgainstNaive.U_VALUES)
+    def test_random_symbolic_u_polys(self, rng, u0):
+        for _ in range(60):
+            legs = rng.randint(1, 3)
+            p = self.random_poly(rng, legs)
+            points = [self.random_point(rng, legs)
+                      for _ in range(rng.randint(1, 8))]
+            values = batch_values(p, points, u0)
+            assert values == [naive_value(p, pt, u0) for pt in points]
+            assert values == [p.evaluate(pt, u0) for pt in points]
+
+    @pytest.mark.parametrize("u0", TestEvaluateAgainstNaive.U_VALUES)
+    def test_empty_zero_and_constant(self, rng, u0):
+        for legs in (1, 2, 3):
+            p = self.random_poly(rng, legs)
+            assert p.value_ratios((), u0) == ([], [])
+            points = [self.random_point(rng, legs) for _ in range(5)]
+            assert batch_values(DPoly(legs), points, u0) == [0] * 5
+            c = DPoly.const(legs, UPoly({0: Fraction(3, 4), 2: -1}))
+            assert batch_values(c, points, u0) == [Fraction(3, 4)
+                                                   - Fraction(u0) ** 2] * 5
+
+    def test_columns_not_shared_across_denominators_or_order(
+            self, rng, monkeypatch):
+        from jortwist import exactalg
+        monkeypatch.setattr(exactalg, "_COLUMNS", {})
+        p = self.random_poly(rng, 2) + DPoly(2, {(3, 2): Fraction(1, 5)})
+        integral = [(1, -2), (3, 4), (-5, 6)]
+        rational = [(Fraction(a, 7), Fraction(b, 3)) for a, b in integral]
+        for points in (integral, rational, integral[::-1], rational[::-1]):
+            assert batch_values(p, points, Fraction(5, 7)) == [
+                naive_value(p, pt, Fraction(5, 7)) for pt in points]
+        # two variables per point set, none found in another set's entry
+        assert len(exactalg._COLUMNS) == 8
+
+    def test_wrong_length_point_raises(self):
+        with pytest.raises(ValueError):
+            var(2, 1).value_ratios(((1, 2), (1,)))
+        with pytest.raises(ValueError):
+            var(1, 1).value_ratios(((1, 2),))
+
+    def test_float_input_rejected(self):
+        x = var(1, 1)
+        assert x.value_ratios(((1,),)) == ([1], [1])
+        for points, u0 in ((((0.5,),), 0), (((1.0,),), 0), (((1,),), 0.5),
+                           ((), 0.5)):
+            with pytest.raises(TypeError):
+                x.value_ratios(points, u0)
+
+
 def test_upoly_no_stored_zeros():
     p = u() - u()
     assert p.coeffs == {}

@@ -66,16 +66,22 @@ class TestSampleCheck:
         assert _sample_check(x, x) is True
 
     def test_one_evaluation_per_side_and_point(self, monkeypatch):
+        # each side is evaluated once, over all the points together
         calls = []
-        evaluate = DPoly.evaluate
+        value_ratios = DPoly.value_ratios
 
-        def counting(self, point, u_value=0):
-            calls.append(tuple(point))
-            return evaluate(self, point, u_value)
+        def counting(self, points, u_value=0):
+            calls.append((self, tuple(map(tuple, points)), u_value))
+            return value_ratios(self, points, u_value)
 
-        monkeypatch.setattr(DPoly, "evaluate", counting)
-        assert verify_bigident(2, 1, 1, 1).equal
-        assert sorted(calls) == sorted(list(SAMPLE_POINTS[3]) * 2)
+        monkeypatch.setattr(DPoly, "value_ratios", counting)
+        inst = verify_bigident(2, 1, 1, 1)
+        assert inst.equal
+        assert len(calls) == 2
+        assert {id(side) for side, _, _ in calls} == {id(inst.lhs),
+                                                      id(inst.rhs)}
+        for _, points, u_value in calls:
+            assert points == SAMPLE_POINTS[3] and u_value == 0
 
 
 class TestChains:
