@@ -130,8 +130,7 @@ class TensorElement:
 
     def scale(self, c):
         """Multiply by a central scalar (rational or polynomial in u)."""
-        c = UPoly.coerce(c)
-        if c.is_zero:
+        if c == 0:
             return TensorElement(self.legs, self.truncation)
         res = TensorElement(self.legs, self.truncation)
         res.terms = {k: d * c for k, d in self.terms.items()}
@@ -364,14 +363,14 @@ def series_apply(coeffs, a):
         raise ValueError("series argument must have minimum grade >= 1")
     N = a.truncation
     kmax = min(len(coeffs) - 1, N)
-    res = TensorElement.one(a.legs, N).scale(UPoly.coerce(coeffs[0]))
+    res = TensorElement.one(a.legs, N).scale(coeffs[0])
     power = TensorElement.one(a.legs, N)
     for k in range(1, kmax + 1):
         power = power * a
         if power.is_zero:
             break
-        c = UPoly.coerce(coeffs[k])
-        if not c.is_zero:
+        c = coeffs[k]
+        if c != 0:
             res = res + power.scale(c)
     return res
 

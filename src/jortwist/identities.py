@@ -7,13 +7,16 @@ transcription slips, by evaluation at seeded random integer points.  The
 points are drawn once per leg count, from a fresh random.Random(SAMPLE_SEED),
 so every instance with the same number of legs is sampled at the same points,
 and each side is evaluated once over the whole point set
-(DPoly.value_ratios).
+(DPoly.value_ratios).  Every suite in SUITES is a generator: it yields its
+instances one at a time, each checked as it is built, and
+verify_identity_chain keeps only the count and the first failure.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 from .exactalg import MAX_LEGS, DPoly, UPoly, binom_poly, int_binom
@@ -119,12 +122,11 @@ def _bigident(chain, k, l, A, C, k1s, l1s):
 def _bigident_instances(bound):
     """Both summation orders of every bigident instance with k, l <= bound,
     one instance at a time."""
-    for k in range(bound + 1):
-        for l in range(bound + 1):
-            for A in range(k + 1):
-                for C in range(l + 1):
-                    yield verify_bigident(k, l, A, C)
-                    yield verify_bigident_index_swap(k, l, A, C)
+    r = range(bound + 1)
+    for k, l in product(r, r):
+        for A, C in product(range(k + 1), range(l + 1)):
+            yield verify_bigident(k, l, A, C)
+            yield verify_bigident_index_swap(k, l, A, C)
 
 
 # ---------------------------------------------------------------------------
@@ -135,99 +137,70 @@ def _chain_L_instances(bound):
     """Every identity of the left-family derivation chain, in x and y."""
     x = DPoly.variable(2, 1)
     y = DPoly.variable(2, 2)
-    B = bound
-    out = []
+    r = range(bound + 1)
+    pairs = [(k, kp) for k in r for kp in range(k + 1)]  # 0 <= k' <= k
 
     # reflection on the second leg, with l = l1 + l2
-    for l1 in range(B + 1):
-        for l2 in range(B + 1):
-            l = l1 + l2
-            lhs = binom_poly(y - 1 - l2, l1)
-            rhs = binom_poly(-y + l, l1) * Fraction((-1) ** l1)
-            out.append(_instance("L1", {"l1": l1, "l2": l2}, lhs, rhs))
+    for l1, l2 in product(r, r):
+        yield _instance("L1", {"l1": l1, "l2": l2}, binom_poly(y - 1 - l2, l1),
+                        binom_poly(-y + l1 + l2, l1) * (-1) ** l1)
 
     # reflection of the joint binomial
-    for k2 in range(B + 1):
-        for l2 in range(B + 1):
-            m = k2 + l2
-            lhs = binom_poly(x + y - 1, m)
-            rhs = binom_poly(-x - y + m, m) * Fraction((-1) ** m)
-            out.append(_instance("L2", {"k2": k2, "l2": l2}, lhs, rhs))
+    for k2, l2 in product(r, r):
+        m = k2 + l2
+        yield _instance("L2", {"k2": k2, "l2": l2}, binom_poly(x + y - 1, m),
+                        binom_poly(-x - y + m, m) * (-1) ** m)
 
     # trinomial revision absorbing the integer binomial
-    for k2 in range(B + 1):
-        for l2 in range(B + 1):
-            m = k2 + l2
-            T = -x - y + m
-            lhs = binom_poly(T, m) * int_binom(m, k2)
-            rhs = binom_poly(T, k2) * binom_poly(-x - y + l2, l2)
-            out.append(_instance("L3", {"k2": k2, "l2": l2}, lhs, rhs))
+    for k2, l2 in product(r, r):
+        m = k2 + l2
+        T = -x - y + m
+        yield _instance("L3", {"k2": k2, "l2": l2},
+                        binom_poly(T, m) * int_binom(m, k2),
+                        binom_poly(T, k2) * binom_poly(-x - y + l2, l2))
 
     # Vandermonde-type convolution over k1 + k2 = k - k'
-    for k in range(B + 1):
-        for kp in range(k + 1):
-            for l2 in range(B + 1):
-                conv = DPoly(2)
-                conv_reflected = DPoly(2)
-                for k1 in range(k - kp + 1):
-                    k2 = k - kp - k1
-                    conv = conv + (binom_poly(x - 1 - k + k1, k1)
-                                   * binom_poly(-x - y + k2 + l2, k - kp - k1))
-                    conv_reflected = conv_reflected + (
-                        binom_poly(-x + k, k1)
-                        * binom_poly(-x - y + k2 + l2, k - kp - k1)
-                        * Fraction((-1) ** k1))
-                closed = binom_poly(-y - kp + l2, k - kp)
-                out.append(_instance("L4", {"k": k, "k'": kp, "l2": l2},
-                                     conv, closed))
-                out.append(_instance("L4r", {"k": k, "k'": kp, "l2": l2},
-                                     conv, conv_reflected))
+    for (k, kp), l2 in product(pairs, r):
+        conv = conv_reflected = DPoly(2)
+        for k1 in range(k - kp + 1):
+            k2 = k - kp - k1
+            shared = binom_poly(-x - y + k2 + l2, k2)
+            conv = conv + binom_poly(x - 1 - k + k1, k1) * shared
+            conv_reflected = (conv_reflected
+                              + binom_poly(-x + k, k1) * shared * (-1) ** k1)
+        params = {"k": k, "k'": kp, "l2": l2}
+        yield _instance("L4", params, conv,
+                        binom_poly(-y - kp + l2, k - kp))
+        yield _instance("L4r", params, conv, conv_reflected)
 
     # second-leg trinomial revision, l = l1 + l2
-    for kp in range(B + 1):
-        for l1 in range(B + 1):
-            for l2 in range(B + 1):
-                l = l1 + l2
-                lhs = binom_poly(-y + l, l1) * binom_poly(-y + l2, kp)
-                rhs = binom_poly(-y + l, kp) * binom_poly(-y + l - kp, l1)
-                out.append(_instance("L5", {"k'": kp, "l1": l1, "l2": l2},
-                                     lhs, rhs))
+    for kp, l1, l2 in product(r, r, r):
+        l = l1 + l2
+        yield _instance("L5", {"k'": kp, "l1": l1, "l2": l2},
+                        binom_poly(-y + l, l1) * binom_poly(-y + l2, kp),
+                        binom_poly(-y + l, kp) * binom_poly(-y + l - kp, l1))
 
     # exchange of the two lower indices
-    for k in range(B + 1):
-        for kp in range(k + 1):
-            for l1 in range(B + 1):
-                for l2 in range(B + 1):
-                    l = l1 + l2
-                    lhs = (binom_poly(-y - kp + l2, k - kp)
-                           * binom_poly(-y + l - kp, l1))
-                    rhs = (binom_poly(-y + l - kp, k - kp)
-                           * binom_poly(-y + l - k, l1))
-                    out.append(_instance(
-                        "L6", {"k": k, "k'": kp, "l1": l1, "l2": l2}, lhs, rhs))
+    for (k, kp), l1, l2 in product(pairs, r, r):
+        l = l1 + l2
+        yield _instance("L6", {"k": k, "k'": kp, "l1": l1, "l2": l2},
+                        binom_poly(-y - kp + l2, k - kp)
+                        * binom_poly(-y + l - kp, l1),
+                        binom_poly(-y + l - kp, k - kp)
+                        * binom_poly(-y + l - k, l1))
 
     # alternating convolution over l1 + l2 = l, eliminating y
-    for k in range(B + 1):
-        for l in range(B + 1):
-            conv = DPoly(2)
-            for l1 in range(l + 1):
-                l2 = l - l1
-                conv = conv + (binom_poly(-y + l - k, l1)
-                               * binom_poly(-x - y + l2, l2)
-                               * Fraction((-1) ** l1))
-            out.append(_instance("L7", {"k": k, "l": l},
-                                 conv, binom_poly(-x + k, l)))
+    for k, l in product(r, r):
+        conv = sum((binom_poly(-y + l - k, l1)
+                    * binom_poly(-x - y + l - l1, l - l1) * (-1) ** l1
+                    for l1 in range(l + 1)), DPoly(2))
+        yield _instance("L7", {"k": k, "l": l}, conv, binom_poly(-x + k, l))
 
     # final regrouping into the integer binomial
-    for k in range(B + 1):
-        for kp in range(k + 1):
-            for l in range(B + 1):
-                lhs = (binom_poly(-y + l - kp, k - kp)
-                       * binom_poly(-y + l, kp))
-                rhs = binom_poly(-y + l, k) * int_binom(k, kp)
-                out.append(_instance("L8", {"k": k, "k'": kp, "l": l},
-                                     lhs, rhs))
-    return out
+    for (k, kp), l in product(pairs, r):
+        yield _instance("L8", {"k": k, "k'": kp, "l": l},
+                        binom_poly(-y + l - kp, k - kp) * binom_poly(-y + l, kp),
+                        binom_poly(-y + l, k) * int_binom(k, kp))
 
 
 def _chain_R_instances(bound):
@@ -243,27 +216,21 @@ def _chain_R_instances(bound):
     """
     x = DPoly.variable(2, 1)
     y = DPoly.variable(2, 2)
-    out = []
-    for k in range(bound + 1):
-        for l in range(bound + 1):
-            for kp in range(k + 1):
-                total = DPoly(2)
-                for k1 in range(k - kp + 1):
-                    k2 = k - kp - k1
-                    for l1 in range(l + 1):
-                        l2 = l - l1
-                        total = total + (
-                            binom_poly(x, k1)
-                            * binom_poly(y, l1)
-                            * binom_poly(y - l1, kp)
-                            * binom_poly(x + y - (kp + k1 + l1), k2 + l2)
-                            * int_binom(k2 + l2, k2)
-                            * Fraction((-1) ** (k1 + l1)))
-                closed = (binom_poly(x, l) * binom_poly(y, k)
-                          * int_binom(k, kp))
-                out.append(_instance("R", {"k": k, "l": l, "k'": kp},
-                                     total, closed))
-    return out
+    r = range(bound + 1)
+    for k, l in product(r, r):
+        for kp in range(k + 1):
+            total = DPoly(2)
+            for k1, l1 in product(range(k - kp + 1), range(l + 1)):
+                k2, l2 = k - kp - k1, l - l1
+                total = total + (binom_poly(x, k1)
+                                 * binom_poly(y, l1)
+                                 * binom_poly(y - l1, kp)
+                                 * binom_poly(x + y - (kp + k1 + l1), k2 + l2)
+                                 * int_binom(k2 + l2, k2)
+                                 * (-1) ** (k1 + l1))
+            closed = (binom_poly(x, l) * binom_poly(y, k)
+                      * int_binom(k, kp))
+            yield _instance("R", {"k": k, "l": l, "k'": kp}, total, closed)
 
 
 def verify_identity_chain(chain, bound=None):

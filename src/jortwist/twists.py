@@ -32,10 +32,8 @@ def _usym(u):
 
 def _ufactor(u, k, l):
     """(u-1)^k u^l as a coefficient."""
-    if u is None:
-        return (UPoly.u() - 1) ** k * UPoly.u() ** l
-    u = Fraction(u)
-    return (u - 1) ** k * u**l
+    uu = _usym(u)
+    return (uu - 1) ** k * uu ** l
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +306,12 @@ def check_cocycle(family, N, u=None, element=None):
         lhs = F.tensor(one1) * F.coproduct(1)
         rhs = one1.tensor(F) * F.coproduct(2)
         # cross-check the order-by-order convolution decomposition
-        decomposition_ok = True
-        for n in range(N + 1):
-            conv = TensorElement.zero(3, N)
-            for i in range(n + 1):
-                conv = conv + (F.grade_slice(n - i).tensor(one1)
-                               * F.grade_slice(i).coproduct(1))
-            if conv != lhs.grade_slice(n):
-                decomposition_ok = False
+        left = [F.grade_slice(n).tensor(one1) for n in range(N + 1)]
+        right = [F.grade_slice(n).coproduct(1) for n in range(N + 1)]
+        decomposition_ok = all(
+            sum((left[n - i] * right[i] for i in range(n + 1)),
+                TensorElement.zero(3, N)) == lhs.grade_slice(n)
+            for n in range(N + 1))
         notes.append("per-order convolution decomposition %s"
                      % ("matches" if decomposition_ok else "DIFFERS"))
     return _compare("cocycle", _params(family, N, u, via_inverse=via_inverse),

@@ -138,6 +138,34 @@ class TestSuites:
                                "right": str(good.rhs + 1)}
         assert rep.notes == ["18 instances checked"]
 
+    def test_broken_chain_L_instance_is_reported(self, monkeypatch):
+        real = identities._instance
+        broken = ("L6", {"k": 1, "k'": 0, "l1": 1, "l2": 0})
+        seen = []
+
+        def slipped(chain, params, lhs, rhs):
+            if (chain, params) == broken:
+                seen.append((lhs, rhs + 1))
+                rhs = rhs + 1
+            return real(chain, params, lhs, rhs)
+
+        monkeypatch.setattr(identities, "_instance", slipped)
+        rep = verify_identity_chain("L", 1)
+        assert not rep.passed
+        [(lhs, rhs)] = seen
+        assert rep.failure == {"chain": "L6", "params": broken[1],
+                               "left": str(lhs), "right": str(rhs)}
+        assert rep.notes == ["54 instances checked"]
+
+    @pytest.mark.parametrize("name", ["_chain_L_instances",
+                                      "_chain_R_instances"])
+    def test_chains_yield_one_instance_at_a_time(self, name):
+        # the chains are iterators, as the bigident suite is: no list of
+        # every instance is built before the first is checked
+        instances = getattr(identities, name)(1)
+        assert iter(instances) is instances
+        assert next(instances).equal
+
 
 class TestIndependenceDet:
     def test_order_zero(self):
