@@ -4,13 +4,28 @@ the combinatorial identities.  Also owns the JSON wire format for elements.
 
 from __future__ import annotations
 
+import sys
+
+if __name__ == "__main__":
+    # Run as a program, the module loads only the layers its command runs,
+    # and loads them before argparse: compiled after argparse, `twists`
+    # raised the peak RSS of a `verify` or `expand` process by 0.2-0.35 MiB.
+    # Without a command, `--help` adds the arguments of expand and verify,
+    # which read twists.
+    if sys.argv[1:2] == ["identities"]:
+        from . import identities
+    else:
+        from . import twists
+else:
+    # Imported as a library, it loads every layer, because
+    # perfbench/tracer.py wraps the functions of the jortwist modules it
+    # finds in sys.modules and imports none itself.
+    from . import borel, identities, twists  # noqa: F401
+
 import argparse
 import json
-import sys
 from fractions import Fraction
 
-from . import identities, twists
-from .borel import TensorElement
 from .exactalg import MAX_LEGS, DPoly, UPoly
 
 SCHEMA_VERSION = 1
@@ -81,6 +96,7 @@ def _unique(key, seen, path):
 def element_from_dict(data):
     """Inverse of element_to_dict.  Malformed data raises ValueError naming
     the field at fault, e.g. terms[2].dpoly[0].exps."""
+    from .borel import TensorElement
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object, got %r" % (data,))
     if data.get("schema") != SCHEMA_VERSION:
@@ -211,47 +227,55 @@ def _verify_order(text):
     return value
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="jortwist",
-        description="Exact verification of interpolating Jordanian twists.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common_output(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write output to this file")
-        p.add_argument("--ascii", action="store_true",
-                       help="ASCII-only text output")
-
-    p = sub.add_parser("expand", help="expand a twist to a given order")
+def _expand_arguments(p):
     p.add_argument("--family", required=True, choices=twists.FAMILIES)
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--form", default="auto",
                    choices=("auto",) + twists.FORMS)
     p.add_argument("--order", type=_nonneg_int, required=True)
     p.add_argument("--u", type=_parse_u, default=None,
-                   help="'symbolic' (default) or a rational like 1/2")
-    common_output(p)
-    p.set_defaults(run=_cmd_expand, parser=p)
+                   help="'symbolic' (default) or a rational like 1/2; "
+                        "families L and R only")
 
-    p = sub.add_parser("verify", help="run twist verification checks")
+
+def _verify_arguments(p):
     p.add_argument("--all", action="store_true", dest="run_all")
     p.add_argument("--check", action="append", dest="checks",
                    choices=tuple(twists.CHECKS))
     p.add_argument("--family", choices=("L", "R"))
     p.add_argument("--order", type=_verify_order)
     p.add_argument("--u", type=_parse_u, default=None)
-    common_output(p)
-    p.set_defaults(run=_cmd_verify, parser=p)
 
-    p = sub.add_parser("identities", help="verify the binomial identities")
+
+def _identities_arguments(p):
     p.add_argument("--bigident", action="store_true")
     p.add_argument("--chain", choices=("L", "R"))
     p.add_argument("--det", type=_nonneg_int, metavar="N",
                    help="check the independence determinant for order N")
     p.add_argument("--bound", type=_nonneg_int)
-    common_output(p)
-    p.set_defaults(run=_cmd_identities, parser=p)
+
+
+def _output_arguments(p):
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out", help="write output to this file")
+    p.add_argument("--ascii", action="store_true",
+                   help="ASCII-only text output")
+
+
+def _build_parser(command=None):
+    """The parser of every command; with `command`, only that command's
+    subparser gets its arguments (every add_argument costs a formatter and
+    a terminal-size query), the others keep just their name and help."""
+    parser = argparse.ArgumentParser(
+        prog="jortwist",
+        description="Exact verification of interpolating Jordanian twists.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, run) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
+            _output_arguments(p)
+            p.set_defaults(run=run, parser=p)
     return parser
 
 
@@ -298,6 +322,9 @@ def _emit_reports(reports, args):
 # ---------------------------------------------------------------------------
 
 def _cmd_expand(args, parser):
+    if args.u is not None and args.family in ("0", "1"):
+        parser.error("--u applies to families L and R only; family %s has "
+                     "no u" % args.family)
     try:
         element = twists.build_twist(
             args.family, "inverse" if args.inverse else "twist", args.order,
@@ -340,8 +367,24 @@ def _cmd_identities(args, parser):
     return _emit_reports(reports, args)
 
 
+# name: (help, add_arguments, runner)
+COMMANDS = {
+    "expand": ("expand a twist to a given order", _expand_arguments,
+               _cmd_expand),
+    "verify": ("run twist verification checks", _verify_arguments,
+               _cmd_verify),
+    "identities": ("verify the binomial identities", _identities_arguments,
+                   _cmd_identities),
+}
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    """Run the command argv[0].  The parser gets only that command's
+    arguments; without a command (e.g. `--help`) every command gets its
+    arguments."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     return args.run(args, args.parser)
 
 

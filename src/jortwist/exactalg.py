@@ -266,16 +266,27 @@ class DPoly:
     def __hash__(self):
         return hash((self.legs, self.den, frozenset(self.num.items())))
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, for sign 1 or -1, in one pass.  An int
+        other adds sign * other * den to the constant key; any other
+        operand is summed over the lcm of the two denominators."""
+        if isinstance(other, int):
+            acc = dict(self.num)
+            k = (0,) * (self.legs + 1)
+            acc[k] = acc.get(k, 0) + sign * other * self.den
+            return DPoly.from_num(self.legs, acc, self.den)
         other = self.coerce_other(other)
         self._check_legs(other)
         g = math.gcd(self.den, other.den)
-        fa, fb = other.den // g, self.den // g  # the lcm is den * fa
+        fa, fb = other.den // g, sign * (self.den // g)  # the lcm is den * fa
         acc = ({k: v * fa for k, v in self.num.items()} if fa != 1
                else dict(self.num))
         for k, v in other.num.items():
             acc[k] = acc.get(k, 0) + v * fb
         return DPoly.from_num(self.legs, acc, self.den * fa)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -284,10 +295,10 @@ class DPoly:
                               self.den)
 
     def __sub__(self, other):
-        return self + (-self.coerce_other(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return self.coerce_other(other) + (-self)
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

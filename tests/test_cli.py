@@ -92,6 +92,20 @@ class TestExpand:
         assert err == ("jortwist: error: cannot write %s: "
                        "No such file or directory\n" % missing)
 
+    @pytest.mark.parametrize("family", ["0", "1"])
+    def test_u_for_a_family_without_u_is_a_usage_error(self, family, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["expand", "--family", family, "--order", "1",
+                      "--u", "1/2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "jortwist expand: error: --u applies to families L and R "
+            "only; family %s has no u" % family)
+        code, out = run(["expand", "--family", family, "--order", "1",
+                         "--u", "symbolic"], capsys)
+        assert code == 0 and out == run(["expand", "--family", family,
+                                         "--order", "1"], capsys)[1]
+
     def test_bad_rational(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["expand", "--family", "L", "--order", "1",

@@ -361,6 +361,26 @@ class TestIntegerKernel:
                 assert (ab.evaluate(point, u0)
                         == a.evaluate(point, u0) * b.evaluate(point, u0))
 
+    def test_integer_operands_and_differences_match_the_const_route(self,
+                                                                    rng):
+        """`+` and `-` with an int, in either order, add n * den to the
+        constant key, and DPoly - DPoly subtracts in one pass; each equals
+        the sum taken through DPoly.const and a negated copy."""
+        for _ in range(40):
+            legs = rng.randint(1, 3)
+            a, b = self.random_poly(rng, legs), self.random_poly(rng, legs)
+            n = rng.randint(-12, 12)
+            c = DPoly.const(legs, n)
+            for got, want in ((a + n, a + c), (n + a, c + a),
+                              (a - n, a + (-c)), (n - a, c + (-a)),
+                              (a - b, a + (-b)), (b - a, b + (-a))):
+                assert_canonical(got)
+                assert (got.den, got.num) == (want.den, want.num)
+        x = var(2, 1)
+        assert ((x + 3) - 3).num == x.num
+        assert (3 - (x + 3)).num == (-x).num
+        assert x - x == DPoly(2) == (x + 5) - (x + 5)
+
     def test_product_cancellation_leaves_no_zero(self):
         x = var(1, 1)
         p = (x + u()) * (x - u())
@@ -451,9 +471,17 @@ class TestCanonicalForm:
         legs = rng.randint(1, 3)
         a, b = self.random_poly(rng, legs), self.random_poly(rng, legs)
         c = rng.choice(self.RATIONALS)
+        n = rng.randint(-9, 9)
         yield "add", a + b
         yield "sub", a - b
         yield "sub-self", a - a
+        yield "add-int", a + n
+        yield "int-add", n + a
+        yield "sub-int", a - n
+        yield "int-sub", n - a
+        yield "scalar-sub", c - a
+        yield "sub-int-to-constant", (a + n) - a
+        yield "int-cancels-constant", (var(legs, 1) + n) - n
         yield "mul", a * b
         yield "scalar", a * c
         yield "scalar-zero", a * 0
@@ -481,7 +509,9 @@ class TestCanonicalForm:
             legs = rng.randint(1, 3)
             a, c = self.random_poly(rng, legs), self.random_poly(rng, legs)
             k = rng.choice(self.RATIONALS)
+            n = rng.randint(-9, 9)
             for other in ((a + c) - c, (a * k) * (1 / Fraction(k)),
+                          (a + n) - n, n - (n - a), (a - c) + c,
                           DPoly(legs, a.terms),
                           a.shift([1] * legs).shift([-1] * legs)):
                 assert other == a
