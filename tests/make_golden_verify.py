@@ -1,6 +1,7 @@
 """Write tests/golden_verify.json: the SHA-256 of `jortwist verify --all
---order 3 --format json` and of `jortwist verify --check cocycle --family L
---order 5 --format json`.
+--order 3 --format json`, of `jortwist verify --check cocycle --family L
+--order 5 --format json`, and of `jortwist verify --check hopf|forms
+--order 4 --format json`.
 
     PYTHONPATH=src python3 tests/make_golden_verify.py
 
@@ -16,7 +17,9 @@ from make_golden_expand import digests_of
 GOLDEN = Path(__file__).resolve().parent / "golden_verify.json"
 ARGVS = (["verify", "--all", "--order", "3", "--format", "json"],
          ["verify", "--check", "cocycle", "--family", "L", "--order", "5",
-          "--format", "json"])
+          "--format", "json"],
+         ["verify", "--check", "hopf", "--order", "4", "--format", "json"],
+         ["verify", "--check", "forms", "--order", "4", "--format", "json"])
 
 
 def digests():
