@@ -191,6 +191,14 @@ class TestVerify:
             cli.main(["verify"])
         assert exc.value.code == 2
 
+    def test_deleted_inverse_check_is_a_usage_error(self, capsys):
+        # F F^-1 = 1 holds by construction of the series inverse; the
+        # product-against-series inverse comparison is part of "forms"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--check", "inverse", "--order", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'inverse'" in capsys.readouterr().err
+
     def test_failure_flips_exit_code(self, capsys, monkeypatch):
         failing = VerificationReport("cocycle", {}, False, {2: False},
                                      {"grade": 2})

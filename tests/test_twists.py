@@ -9,8 +9,8 @@ from jortwist.borel import (TensorElement, conjugate, first_difference,
 from jortwist import twists
 from jortwist.twists import (build_twist, check_cocycle, check_endpoints,
                              check_form_equality, check_hopf_data,
-                             check_inverse_pair, check_LR_relation,
-                             check_LR_u1, check_normalization, check_v_family,
+                             check_LR_relation, check_LR_u1,
+                             check_normalization, check_v_family,
                              lr_factor, mutate_coefficient, run_suite,
                              target_antipode, target_coproduct)
 
@@ -151,15 +151,6 @@ class TestCocycle:
         assert rep.failure["grade"] == 3
 
 
-class TestInversePair:
-    @pytest.mark.parametrize("family", ["L", "R"])
-    def test_symbolic(self, family):
-        assert check_inverse_pair(family, 5).passed
-
-    def test_trivial_order(self):
-        assert check_inverse_pair("L", 0).passed
-
-
 class TestEndpoints:
     @pytest.mark.parametrize("family", ["L", "R"])
     def test_both_families(self, family):
@@ -209,15 +200,35 @@ class TestHopfData:
     @pytest.mark.parametrize("family", ["L", "R"])
     @pytest.mark.parametrize("generator", ["P", "Q", "D"])
     def test_all_generators(self, family, generator):
-        rep = check_hopf_data(family, generator, 3)
-        assert rep.passed
+        reports = dict(zip("PQD", check_hopf_data(family, 3)))
+        assert reports[generator].params["generator"] == generator
+        assert reports[generator].passed
+
+    def test_twist_and_chi_built_once_per_family(self, monkeypatch):
+        # F and F^-1 are built once, and chi once, for all three generators
+        calls = {"build_twist": 0, "fold_mul_antipode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(twists, "build_twist",
+                            counted("build_twist", twists.build_twist))
+        monkeypatch.setattr(TensorElement, "fold_mul_antipode", counted(
+            "fold_mul_antipode", TensorElement.fold_mul_antipode))
+        reports = run_suite(["hopf"], order=2, family="L")
+        assert [r.params["generator"] for r in reports] == ["P", "Q", "D"]
+        assert calls == {"build_twist": 2, "fold_mul_antipode": 1}
 
     def test_momentum_antipode_sign_is_resolved(self):
         # the two families must share the same antipode on momenta; the
         # computed sign is negative, so the printed left-family formula
         # (no minus) is the typo and the right-family one is correct
-        rep_l = check_hopf_data("L", "Q", 3)
-        rep_r = check_hopf_data("R", "Q", 3)
+        rep_l = check_hopf_data("L", 3)[1]
+        rep_r = check_hopf_data("R", 3)[1]
+        assert rep_l.params["generator"] == rep_r.params["generator"] == "Q"
         assert any("MINUS" in n for n in rep_l.notes)
         assert any("matches the printed" in n for n in rep_r.notes)
 
@@ -305,6 +316,16 @@ UNBUILDABLE = [
     for form in ("product", "inverted-closed")
 ] + [("L", "inverse", "closed"), ("L", "twist", "inverted-closed"),
      ("R", "twist", "closed"), ("R", "inverse", "inverted-closed")]
+
+
+@pytest.mark.parametrize("family", ["L", "R"])
+def test_series_inverse_is_two_sided(family):
+    # the series inverse of one direction is the geometric inverse of the
+    # other's closed form, a one-sided inverse by its recursion; that it
+    # is two-sided is a property of the kernel's product
+    F = build_twist(family, "twist", 5)
+    G = build_twist(family, "inverse", 5)
+    assert F * G == one(2, 5) == G * F
 
 
 @pytest.mark.parametrize("fam,direction", sorted(CANONICAL_FORMS))
