@@ -1,7 +1,8 @@
 """Write tests/golden_verify.json: the SHA-256 of `jortwist verify --all
 --order 3 --format json`, of `jortwist verify --check cocycle --family L
---order 5 --format json`, and of `jortwist verify --check hopf|forms
---order 4 --format json`.
+--order 5 --format json`, of `jortwist verify --check hopf|forms
+--order 4 --format json`, and of `jortwist verify --check hopf --order 6
+--u 1/3 --format json`.
 
     PYTHONPATH=src python3 tests/make_golden_verify.py
 
@@ -19,7 +20,9 @@ ARGVS = (["verify", "--all", "--order", "3", "--format", "json"],
          ["verify", "--check", "cocycle", "--family", "L", "--order", "5",
           "--format", "json"],
          ["verify", "--check", "hopf", "--order", "4", "--format", "json"],
-         ["verify", "--check", "forms", "--order", "4", "--format", "json"])
+         ["verify", "--check", "forms", "--order", "4", "--format", "json"],
+         ["verify", "--check", "hopf", "--order", "6", "--u", "1/3",
+          "--format", "json"])
 
 
 def digests():
