@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactalg import MAX_LEGS, DPoly, UPoly, binom_poly
+from .exactalg import MAX_LEGS, DPoly, UPoly
 
 
 def _key_grade(key):

@@ -205,7 +205,7 @@ class TestHopfData:
         assert reports[generator].passed
 
     def test_twist_and_chi_built_once_per_family(self, monkeypatch):
-        # F and F^-1 are built once, and chi once, for all three generators
+        # F is built once, and chi once, for all three generators
         calls = {"build_twist": 0, "fold_mul_antipode": 0}
 
         def counted(name, fn):
@@ -220,7 +220,31 @@ class TestHopfData:
             "fold_mul_antipode", TensorElement.fold_mul_antipode))
         reports = run_suite(["hopf"], order=2, family="L")
         assert [r.params["generator"] for r in reports] == ["P", "Q", "D"]
-        assert calls == {"build_twist": 2, "fold_mul_antipode": 1}
+        assert calls == {"build_twist": 1, "fold_mul_antipode": 1}
+
+    @pytest.mark.parametrize("family", ["L", "R"])
+    @pytest.mark.parametrize("target, generator, key, exps", [
+        ("target_coproduct", "P", ((1, 0), (1, 0)), (1, 0)),
+        ("target_antipode", "D", ((2, 0),), (1,))])
+    def test_corrupted_target_fails_at_grade_two(self, monkeypatch, family,
+                                                 target, generator, key, exps):
+        # F and chi have grade-0 part 1, so a target T shifted by one
+        # grade-2 monomial makes T F (or T chi) first differ there
+        printed = getattr(twists, target)
+
+        def corrupted(fam, gen, N, u=None):
+            res = printed(fam, gen, N, u)
+            return (mutate_coefficient(res, key, exps, 1) if gen == generator
+                    else res)
+
+        monkeypatch.setattr(twists, target, corrupted)
+        reports = dict(zip("PQD", check_hopf_data(family, 4)))
+        rep = reports.pop(generator)
+        assert not rep.passed
+        assert min(n for n, ok in rep.grades.items() if not ok) == 2
+        assert rep.failure["momenta"] == key
+        assert rep.failure["dilatation_exponents"] == exps
+        assert all(r.passed for r in reports.values())
 
     def test_momentum_antipode_sign_is_resolved(self):
         # the two families must share the same antipode on momenta; the
