@@ -16,9 +16,9 @@ def unused_imports(source):
     lines = source.splitlines()
     imported = set()
     for node in ast.walk(tree):
-        if (not isinstance(node, (ast.Import, ast.ImportFrom))
-                or isinstance(node, ast.ImportFrom)
-                and node.module == "__future__"
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if (getattr(node, "module", None) == "__future__"
                 or "# noqa: F401" in lines[node.end_lineno - 1]):
             continue
         imported.update((alias.asname or alias.name).split(".")[0]
