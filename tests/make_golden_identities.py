@@ -1,5 +1,5 @@
 """Write tests/golden_identities.json: the SHA-256 of `jortwist identities
---format json` for the bigident suite at bounds 2 and 3, the L chain at
+--format json` for the bigident suite at bounds 2, 3 and 4, the L chain at
 bounds 2 and 3, the R chain at bound 3 and the determinant at order 5; and
 the SHA-256 of each chain's instance sequence, every instance's
 (chain, params, str(lhs), str(rhs), equal) in order, for the L and R
@@ -22,6 +22,7 @@ from jortwist import identities
 
 GOLDEN = Path(__file__).resolve().parent / "golden_identities.json"
 SUITES = (["--bigident", "--bound", "2"], ["--bigident", "--bound", "3"],
+          ["--bigident", "--bound", "4"],
           ["--chain", "L", "--bound", "2"], ["--chain", "L", "--bound", "3"],
           ["--chain", "R", "--bound", "3"], ["--det", "5"])
 CHAIN_BOUNDS = {"L": range(4), "R": range(4)}

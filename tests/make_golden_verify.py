@@ -1,8 +1,10 @@
 """Write tests/golden_verify.json: the SHA-256 of `jortwist verify --all
 --order 3 --format json`, of `jortwist verify --check cocycle --family L
 --order 5 --format json`, of `jortwist verify --check hopf|forms
---order 4 --format json`, and of `jortwist verify --check hopf --order 6
---u 1/3 --format json`.
+--order 4 --format json`, of `jortwist verify --check hopf --order 6
+--u 1/3 --format json`, of `jortwist verify --check normalization --order 8
+--format json` and of `jortwist verify --check cocycle --family R --order 6
+--format json`.
 
     PYTHONPATH=src python3 tests/make_golden_verify.py
 
@@ -22,6 +24,10 @@ ARGVS = (["verify", "--all", "--order", "3", "--format", "json"],
          ["verify", "--check", "hopf", "--order", "4", "--format", "json"],
          ["verify", "--check", "forms", "--order", "4", "--format", "json"],
          ["verify", "--check", "hopf", "--order", "6", "--u", "1/3",
+          "--format", "json"],
+         ["verify", "--check", "normalization", "--order", "8", "--format",
+          "json"],
+         ["verify", "--check", "cocycle", "--family", "R", "--order", "6",
           "--format", "json"])
 
 
