@@ -147,14 +147,11 @@ class TensorElement:
         self._check_shape(other)
         N = self.truncation
         out = {}
-        # group the right factor by the D-shift it induces on the left; each
-        # of its DPolys meets many left terms, so it is grouped by exponent
-        # vector once here rather than by every product
+        # group the right factor by the D-shift it induces on the left
         by_offset = {}
         for kb, db in other.terms.items():
             offsets = tuple(-(p + q) for p, q in kb)
-            by_offset.setdefault(offsets, []).append(
-                (_key_grade(kb), kb, db.grouped()))
+            by_offset.setdefault(offsets, []).append((_key_grade(kb), kb, db))
         for ka, da in self.terms.items():
             room = N - _key_grade(ka)
             for offsets, entries in by_offset.items():
@@ -233,10 +230,7 @@ class TensorElement:
         for key, d in self.terms.items():
             if key[i] != (0, 0):
                 continue
-            nd = DPoly.from_num(self.legs - 1,
-                                {k[:i] + k[i + 1:]: v
-                                 for k, v in d.num.items() if k[i] == 0},
-                                d.den)
+            nd = d.drop_variable(slot)
             if not nd.is_zero:
                 out[key[:i] + key[i + 1:]] = nd
         res.terms = out
@@ -268,29 +262,22 @@ class TensorElement:
         return res
 
     def fold_mul_antipode(self, side="right"):
-        """Multiply the two legs after applying S to one of them.
+        """Multiply the two legs after applying S to the right one, sum
+        f1 * S(f2); `side` must be "right".
 
-        side="right" computes sum f1 * S(f2), side="left" sum S(f1) * f2.
-        With s_i = a_i + b_i, the term P^a1 Q^b1 (x) P^a2 Q^b2 d(x, y)
-        folds to P^(a1+a2) Q^(b1+b2) times (-1)^s2 d(D - s2, -D + s2) on
-        the right and (-1)^s1 d(-D + s1 + s2, D) on the left.
+        With s = a2 + b2, the term P^a1 Q^b1 (x) P^a2 Q^b2 d(x, y) folds to
+        P^(a1+a2) Q^(b1+b2) times (-1)^s d(D - s, -D + s).
         """
         if self.legs != 2:
             raise ValueError("fold_mul_antipode needs a 2-leg element")
-        if side not in ("right", "left"):
-            raise ValueError("side must be 'right' or 'left'")
+        if side != "right":
+            raise ValueError("side must be 'right'")
         out = {}
         for ((a1, b1), (a2, b2)), d in self.terms.items():
-            s1, s2 = a1 + b1, a2 + b2
-            if side == "right":
-                sign, nd = s2, d.substitute_linear([1, -1], [-s2, s2])
-            else:
-                sign, nd = s1, d.substitute_linear([-1, 1], [s1 + s2, 0])
-            acc = {}
-            for (e1, e2, deg), v in nd.num.items():
-                k = (e1 + e2, deg)
-                acc[k] = acc.get(k, 0) + (-v if sign % 2 else v)
-            folded = DPoly.from_num(1, acc, nd.den)
+            s = a2 + b2
+            folded = d.substitute_linear([1, -1], [-s, s]).diagonal()
+            if s % 2:
+                folded = -folded
             key = ((a1 + a2, b1 + b2),)
             out[key] = out[key] + folded if key in out else folded
         return TensorElement(1, self.truncation, out)

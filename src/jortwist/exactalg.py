@@ -18,6 +18,14 @@ from itertools import chain, repeat
 MAX_LEGS = 3
 VAR_NAMES = ("x", "y", "z")
 
+# A DPoly key packs (u-degree, e_1, ..., e_legs), _W bits a field, into one
+# int.  Fields stay below _TOP, so keys add without a carry: a product's key
+# is the sum of its factors' keys.  _GUARD holds each field's top bit.
+_W = 16
+_TOP = 1 << (_W - 1)
+_MASK = (1 << _W) - 1
+_GUARD = sum(_TOP << (_W * i) for i in range(MAX_LEGS + 1))
+
 
 def _as_fraction(value):
     if isinstance(value, Fraction):
@@ -151,7 +159,7 @@ class UPoly:
 def format_upoly(p, var="u"):
     if p.is_zero:
         return "0"
-    parts = []
+    out = ""
     for deg in sorted(p.coeffs, reverse=True):
         c = p.coeffs[deg]
         if deg == 0:
@@ -164,22 +172,19 @@ def format_upoly(p, var="u"):
                 mono = "-" + uv
             else:
                 mono = "%s*%s" % (c, uv)
-        if parts and not mono.startswith("-"):
-            parts.append("+" + mono)
-        else:
-            parts.append(mono)
-    return "".join(parts)
+        out += "+" + mono if out and mono[0] != "-" else mono
+    return out
 
 
 class DPoly:
     """Polynomial in up to three commuting variables whose coefficients are
     polynomials in u.
 
-    Stored as integer numerators over one denominator: `num` maps a key
-    (e_1, ..., e_legs, u-degree) to a nonzero int and `den` is a positive
-    int.  The form is canonical: gcd(den, *num.values()) == 1 and den == 1
-    for the zero polynomial, so equal polynomials have equal (legs, den,
-    num).  Every operation sums plain ints and normalises its result once.
+    Stored as integer numerators over one denominator: `num` maps a packed
+    key to a nonzero int and `den` is a positive int.  The form is
+    canonical: gcd(den, *num.values()) == 1 and den == 1 for the zero
+    polynomial, so equal polynomials have equal (legs, den, num).  Every
+    operation sums plain ints and normalises its result once.
     """
 
     __slots__ = ("legs", "num", "den")
@@ -194,10 +199,13 @@ class DPoly:
             for exps, c in terms.items():
                 exps = tuple(exps)
                 if len(exps) != legs or not all(
-                        isinstance(e, int) and e >= 0 for e in exps):
+                        isinstance(e, int) and 0 <= e < _TOP for e in exps):
                     raise ValueError("bad exponent vector %r" % (exps,))
+                key = sum(e << _W * i for i, e in enumerate(exps, 1))
                 for deg, v in UPoly.coerce(c).coeffs.items():
-                    coefs[exps + (deg,)] = v
+                    if deg >= _TOP:
+                        raise ValueError("u-degree %d too large" % deg)
+                    coefs[key + deg] = v
         den = math.lcm(*{v.denominator for v in coefs.values()})
         self.legs = legs
         self.num, self.den = _reduced(
@@ -206,8 +214,8 @@ class DPoly:
 
     @classmethod
     def from_num(cls, legs, acc, den=1):
-        """The DPoly acc/den, for acc {(e_1, ..., e_legs, u-degree): int}
-        and den a positive int; acc becomes (or is reduced into) its num."""
+        """The DPoly acc/den, for acc {packed key: int} and den a positive
+        int; acc becomes (or is reduced into) its num."""
         res = cls.__new__(cls)
         res.legs = legs
         res.num, res.den = _reduced(acc, den)
@@ -218,8 +226,7 @@ class DPoly:
         if isinstance(value, UPoly):
             return cls(legs, {(0,) * legs: value})
         value = _as_fraction(value)
-        return cls.from_num(legs, {(0,) * (legs + 1): value.numerator},
-                            value.denominator)
+        return cls.from_num(legs, {0: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, legs, index):
@@ -235,11 +242,13 @@ class DPoly:
         for output and reports."""
         out = {}
         for key, v in self.num.items():
-            p = out.get(key[:-1])
+            p = out.get(key >> _W)
             if p is None:
-                p = out[key[:-1]] = UPoly()
-            p.coeffs[key[-1]] = Fraction(v, self.den)
-        return out
+                p = out[key >> _W] = UPoly()
+            p.coeffs[key & _MASK] = Fraction(v, self.den)
+        shifts = range(0, _W * self.legs, _W)
+        return {tuple(e >> s & _MASK for s in shifts): p
+                for e, p in out.items()}
 
     @property
     def is_zero(self):
@@ -272,8 +281,7 @@ class DPoly:
         operand is summed over the lcm of the two denominators."""
         if isinstance(other, int):
             acc = dict(self.num)
-            k = (0,) * (self.legs + 1)
-            acc[k] = acc.get(k, 0) + sign * other * self.den
+            acc[0] = acc.get(0, 0) + sign * other * self.den
             return DPoly.from_num(self.legs, acc, self.den)
         other = self.coerce_other(other)
         self._check_legs(other)
@@ -311,7 +319,7 @@ class DPoly:
         if not isinstance(other, DPoly):
             return NotImplemented
         self._check_legs(other)
-        return self._product(other, self.legs, _add_exps)
+        return self._product(other.num.items(), self.legs, other.den)
 
     __rmul__ = __mul__
 
@@ -324,41 +332,23 @@ class DPoly:
         return res
 
     def outer(self, other):
-        """The product in disjoint variables: self's legs, then other's."""
+        """The product in separate variables: self's legs, then other's."""
         legs = self.legs + other.legs
         if legs > MAX_LEGS:
             raise ValueError("outer product exceeds %d legs" % MAX_LEGS)
-        return self._product(other, legs, operator.add)
+        s = _W * (self.legs + 1)
+        return self._product([((k >> _W << s) + (k & _MASK), v)
+                              for k, v in other.num.items()], legs, other.den)
 
-    def grouped(self):
-        """This polynomial, sharing num, with its keys grouped by exponent
-        vector once: a factor of many products or shifts, such as a term of
-        a TensorElement product, is then not regrouped by each of them."""
-        res = _Grouped.__new__(_Grouped)
-        res.legs, res.num, res.den = self.legs, self.num, self.den
-        res.groups = _by_exps(self.num)
-        return res
-
-    def _grouped(self):
-        """{exps: [(u-degree, numerator)]}: num's keys grouped by exponent
-        vector."""
-        return _by_exps(self.num)
-
-    def _product(self, other, legs, join):
-        """Product whose monomials e1, e2 land on join(e1, e2), summed in
-        integers over the product of the two denominators.  Each operand's
-        keys are grouped by exponent vector, so the join runs once per pair
-        of monomials, not once per pair of (monomial, u-degree) keys."""
-        B = other._grouped().items()
+    def _product(self, B, legs, den):
+        """The product with B, (packed key, numerator) pairs over den, as a
+        DPoly of `legs` legs: each pair of keys adds to its product's key."""
         acc = {}
-        for e1, c1 in self._grouped().items():
-            for e2, c2 in B:
-                e = join(e1, e2)
-                for d1, v1 in c1:
-                    for d2, v2 in c2:
-                        k = e + (d1 + d2,)
-                        acc[k] = acc.get(k, 0) + v1 * v2
-        return DPoly.from_num(legs, acc, self.den * other.den)
+        for k1, v1 in self.num.items():
+            for k2, v2 in B:
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + v1 * v2
+        return DPoly.from_num(legs, _unguarded(acc), self.den * den)
 
     def substitute_linear(self, scales, offsets):
         """Replace each variable x_i by scales[i]*x_i + offsets[i].
@@ -373,27 +363,31 @@ class DPoly:
         offsets = [_as_fraction(c) for c in offsets]
         lcms = [math.lcm(s.denominator, c.denominator)
                 for s, c in zip(scales, offsets)]
-        groups = self._grouped()
-        tops = [max(col) for col in zip(*groups)] or [0] * self.legs
-        expansions = [{} for _ in range(self.legs)]
+        by_e = {}
+        for key, v in self.num.items():
+            by_e.setdefault(key >> _W, []).append((key & _MASK, v))
+        shifts = range(0, _W * self.legs, _W)
+        tops = _tops(by_e, shifts)
+        expansions = [{} for _ in shifts]
         acc = {}
-        for exps, coef in groups.items():
-            images = [((), 1)]
-            for i, e in enumerate(exps):
+        for ek, coef in by_e.items():
+            images = [(0, 1)]
+            for i, sh in enumerate(shifts):
+                e = ek >> sh & _MASK
                 table = expansions[i].get(e)
                 if table is None:
                     s, c, l = scales[i], offsets[i], lcms[i]
                     S = s.numerator * (l // s.denominator)
                     C = c.numerator * (l // c.denominator)
-                    table = [(j, math.comb(e, j) * S**j * C**(e - j)
-                              * l**(tops[i] - e)) for j in range(e + 1)]
+                    table = [(j << sh + _W, math.comb(e, j) * S**j
+                              * C**(e - j) * l**(tops[i] - e))
+                             for j in range(e + 1)]
                     table = expansions[i][e] = [t for t in table if t[1]]
-                images = [(js + (j,), k * kj)
-                          for js, k in images for j, kj in table]
-            for js, k in images:
+                images = [(ks + kj, k * c)
+                          for ks, k in images for kj, c in table]
+            for ks, k in images:
                 for deg, v in coef:
-                    key = js + (deg,)
-                    acc[key] = acc.get(key, 0) + v * k
+                    acc[ks + deg] = acc.get(ks + deg, 0) + v * k
         den = self.den * math.prod([l**m for l, m in zip(lcms, tops)])
         return DPoly.from_num(self.legs, acc, den)
 
@@ -412,13 +406,34 @@ class DPoly:
             raise ValueError("slot out of range")
         if self.legs >= MAX_LEGS:
             raise ValueError("cannot split beyond %d variables" % MAX_LEGS)
-        i = slot - 1
+        s = _W * slot
         acc = {}
         for key, v in self.num.items():
-            e = key[i]
+            e = key >> s & _MASK
+            base = (key & (1 << s) - 1) + (key >> s + _W << s + 2 * _W)
             for j in range(e + 1):
-                acc[key[:i] + (j, e - j) + key[i + 1:]] = v * math.comb(e, j)
+                acc[base + (j << s) + (e - j << s + _W)] = v * math.comb(e, j)
         return DPoly.from_num(self.legs + 1, acc, self.den)
+
+    def drop_variable(self, slot):
+        """The terms free of the slot variable, with that variable removed:
+        the polynomial at x_slot = 0, on one leg fewer."""
+        if not 1 <= slot <= self.legs or self.legs < 2:
+            raise ValueError("slot out of range")
+        s = _W * slot
+        acc = {(k & (1 << s) - 1) + (k >> s + _W << s): v
+               for k, v in self.num.items() if not k >> s & _MASK}
+        return DPoly.from_num(self.legs - 1, acc, self.den)
+
+    def diagonal(self):
+        """The 1-leg polynomial d(x, x) of a 2-leg d(x, y)."""
+        if self.legs != 2:
+            raise ValueError("diagonal needs a 2-leg DPoly")
+        acc = {}
+        for key, v in self.num.items():
+            k = (key & (1 << 2 * _W) - 1) + (key >> 2 * _W << _W)
+            acc[k] = acc.get(k, 0) + v
+        return DPoly.from_num(1, _unguarded(acc), self.den)
 
     def evaluate(self, point, u_value=0):
         """Exact value at a rational point (one entry per variable): the
@@ -432,34 +447,32 @@ class DPoly:
         not reduced.
 
         With x_i = a_i/b_i at a point, u = a/b, and m_i the top exponent of
-        each, the key (e_1, ..., u-degree) with numerator v contributes
+        each, the key of (e_1, ..., u-degree) with numerator v contributes
         v * a^deg b^(m-deg) * prod a_i^e_i b_i^(m_i-e_i) over
         den * b^m * prod b_i^m_i.  The u part is the same at every point, so
         each monomial's numerators are summed into one int first; that int
         then meets the monomial's column over the points, the product of
-        its variables' power columns, once.  The power columns are memoised
-        by (points, variable, top exponent) and shared between calls
-        (`_power_columns`).
+        its variables' memoised power columns (`_power_columns`), once.
         """
         legs = self.legs
         if any(len(p) != legs for p in points):
             raise ValueError("point must assign every variable")
-        *tops, top_u = ([max(col) for col in zip(*self.num)]
-                        or [0] * (legs + 1))
-        u_powers = _ratio_powers(u_value, top_u)
+        u_powers = _ratio_powers(
+            u_value, max([k & _MASK for k in self.num], default=0))
         if not points:
             return [], []
-        columns = _power_columns(points, tops)
         coefs = {}
         for key, v in self.num.items():
-            e = key[:-1]
-            coefs[e] = coefs.get(e, 0) + v * u_powers[key[-1]]
+            e = key >> _W
+            coefs[e] = coefs.get(e, 0) + v * u_powers[key & _MASK]
+        shifts = range(0, _W * legs, _W)
+        columns = _power_columns(points, _tops(coefs, shifts))
         nums = [0] * len(points)
         for e, c in coefs.items():
             if c:
-                column = map(c.__mul__, columns[0][e[0]])
-                for powers, ei in zip(columns[1:], e[1:]):
-                    column = map(operator.mul, column, powers[ei])
+                column = map(c.__mul__, columns[0][e & _MASK])
+                for powers, sh in zip(columns[1:], shifts[1:]):
+                    column = map(operator.mul, column, powers[e >> sh & _MASK])
                 nums = list(map(operator.add, nums, column))
         dens = map((self.den * u_powers[0]).__mul__, columns[0][0])
         for powers in columns[1:]:
@@ -468,12 +481,12 @@ class DPoly:
 
     def specialize_u(self, u0):
         """The polynomial at u = u0: every u-degree becomes 0."""
-        n = max((key[-1] for key in self.num), default=0)
-        u_table = _ratio_powers(u0, n)
+        u_table = _ratio_powers(
+            u0, max([k & _MASK for k in self.num], default=0))
         acc = {}
         for key, v in self.num.items():
-            k = key[:-1] + (0,)
-            acc[k] = acc.get(k, 0) + v * u_table[key[-1]]
+            k = key >> _W << _W
+            acc[k] = acc.get(k, 0) + v * u_table[key & _MASK]
         return DPoly.from_num(self.legs, acc, self.den * u_table[0])
 
     def __repr__(self):
@@ -482,30 +495,29 @@ class DPoly:
     def __str__(self):
         if self.is_zero:
             return "0"
-        parts = []
+        out = ""
         for exps, coef in sorted(self.terms.items()):
-            mono = "*".join(
-                VAR_NAMES[i] if e == 1 else "%s^%d" % (VAR_NAMES[i], e)
-                for i, e in enumerate(exps) if e > 0)
             cs = format_upoly(coef)
             if len(coef.coeffs) > 1:
                 cs = "(%s)" % cs
-            parts.append("%s*%s" % (cs, mono) if mono else cs)
-        return " + ".join(parts)
+            for name, e in zip(VAR_NAMES, exps):
+                if e:
+                    cs += "*" + (name if e == 1 else "%s^%d" % (name, e))
+            out += " + " + cs if out else cs
+        return out
 
 
-class _Grouped(DPoly):
-    """A DPoly that keeps its keys grouped (DPoly.grouped).  The slot is
-    on this class alone, so a plain DPoly stays three slots small."""
-
-    __slots__ = ("groups",)
-
-    def _grouped(self):
-        return self.groups
+def _tops(es, shifts):
+    """Each leg's top exponent over es, exponent parts (key >> _W) of keys,
+    its field being at each of shifts."""
+    return [max([e >> s & _MASK for e in es], default=0) for s in shifts]
 
 
-def _add_exps(e1, e2):
-    return tuple(map(operator.add, e1, e2))
+def _unguarded(acc):
+    """acc, after checking that no field of its keys reached _TOP."""
+    if any(map(_GUARD.__and__, acc)):
+        raise ValueError("an exponent or u-degree reaches %d" % _TOP)
+    return acc
 
 
 def _reduced(acc, den):
@@ -519,15 +531,6 @@ def _reduced(acc, den):
         acc = {k: v // g for k, v in acc.items()}
         den //= g
     return acc, den
-
-
-def _by_exps(num):
-    """{exps: [(u-degree, numerator)]}: the keys of num grouped by their
-    exponent vector."""
-    out = {}
-    for key, v in num.items():
-        out.setdefault(key[:-1], []).append((key[-1], v))
-    return out
 
 
 def _ratio_powers(v, m):

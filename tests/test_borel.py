@@ -83,24 +83,14 @@ class TestNormalMul:
                     conv = conv + a.grade_slice(i) * b.grade_slice(n - i)
                 assert conv == (a * b).grade_slice(n)
 
-    def test_right_factors_grouped_once_per_product(self, monkeypatch):
-        from jortwist import exactalg
+    def test_grade_zero_product_matches_the_shifted_leg_products(self):
         x = DPoly.variable(1, 1)
         # grade-0 terms only, so each right factor meets every left term
         a = TensorElement(1, N, {((0, 0),): x**2 + 1, ((0, 1),): x * UPoly.u(),
                                  ((0, 2),): x**3 - 2})
         b = TensorElement(1, N, {((0, 0),): x - 3, ((0, 1),): x**2,
                                  ((0, 3),): x + UPoly.u()})
-        grouped = []
-        by_exps = exactalg._by_exps
-
-        def counting(num):
-            grouped.append(id(num))
-            return by_exps(num)
-
-        monkeypatch.setattr(exactalg, "_by_exps", counting)
         product = a * b
-        monkeypatch.undo()
         # oracle: P^0 Q^qa f(D) Q^qb g(D) = Q^(qa+qb) f(D - qb) g(D)
         expected = {}
         for ((_, qa),), da in a.terms.items():
@@ -108,7 +98,6 @@ class TestNormalMul:
                 key = ((0, qa + qb),)
                 expected[key] = expected.get(key, 0) + da.shift([-qb]) * db
         assert product == TensorElement(1, N, expected)
-        assert [grouped.count(id(d.num)) for d in b.terms.values()] == [1] * 3
 
     def test_products_above_truncation_are_pruned(self, monkeypatch):
         x = DPoly.variable(1, 1)
@@ -269,12 +258,11 @@ class TestFoldAntipode:
         assert P().tensor(D()).fold_mul_antipode("right") == -(P() * D())
 
     def test_antipode_axiom_randomized(self, rng):
-        # m (id (x) S) Delta = eta eps, and the left-handed version
+        # m (id (x) S) Delta = eta eps
         for _ in range(25):
             e = random_element(rng, 1, 3)
             expected = one(1, 3).scale(e.counit_scalar())
             assert e.coproduct(1).fold_mul_antipode("right") == expected
-            assert e.coproduct(1).fold_mul_antipode("left") == expected
 
     def test_twisted_antipode_of_jordanian_twist(self):
         # chi S(D) chi^-1 for the momentum-side twist must give
@@ -292,15 +280,16 @@ class TestFoldAntipode:
 
         for _ in range(25):
             element = random_element(rng, 2, 3)
-            for side in ("right", "left"):
-                expected = TensorElement.zero(1, 3)
-                for ((a1, b1), (a2, b2)), d in element.terms.items():
-                    for (e1, e2), c in d.terms.items():
-                        m1, m2 = mono(a1, b1, e1, 3), mono(a2, b2, e2, 3)
-                        prod = (m1 * m2.antipode() if side == "right"
-                                else m1.antipode() * m2)
-                        expected = expected + prod.scale(c)
-                assert element.fold_mul_antipode(side) == expected
+            expected = TensorElement.zero(1, 3)
+            for ((a1, b1), (a2, b2)), d in element.terms.items():
+                for (e1, e2), c in d.terms.items():
+                    m1, m2 = mono(a1, b1, e1, 3), mono(a2, b2, e2, 3)
+                    expected = expected + (m1 * m2.antipode()).scale(c)
+            assert element.fold_mul_antipode("right") == expected
+
+    def test_left_side_is_rejected(self):
+        with pytest.raises(ValueError):
+            one(2).fold_mul_antipode("left")
 
 
 class TestConjugate:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jortwist.exactalg import DPoly, UPoly, binom_poly
+from jortwist.exactalg import _GUARD, _TOP, _W, DPoly, UPoly, binom_poly
 
 from conftest import random_dpoly
 
@@ -422,6 +422,48 @@ class TestIntegerKernel:
                 image = point[:i] + [point[i] + point[i + 1]] + point[i + 2:]
                 assert q.evaluate(point, u0) == p.evaluate(image, u0)
 
+    def test_drop_variable(self, rng):
+        kept = 0
+        for _ in range(60):
+            legs = rng.randint(2, 3)
+            slot = rng.randint(1, legs)
+            i = slot - 1
+            p = self.random_poly(rng, legs) + DPoly(legs, {
+                e[:i] + (0,) + e[i + 1:]: c
+                for e, c in self.random_poly(rng, legs).terms.items()})
+            q = p.drop_variable(slot)
+            assert_canonical(q)
+            assert q == built_from(legs - 1, [
+                (exps[:i] + exps[i + 1:], d, v)
+                for exps, c in p.terms.items() if exps[i] == 0
+                for d, v in c.coeffs.items()])
+            kept += not q.is_zero
+            for u0 in self.U_VALUES:
+                point = self.random_point(rng, legs - 1)
+                assert (q.evaluate(point, u0)
+                        == p.evaluate(point[:i] + [0] + point[i:], u0))
+        assert kept > 30
+        with pytest.raises(ValueError):
+            var(1, 1).drop_variable(1)
+        with pytest.raises(ValueError):
+            var(2, 1).drop_variable(3)
+
+    def test_diagonal(self, rng):
+        for _ in range(40):
+            p = self.random_poly(rng, 2)
+            q = p.diagonal()
+            assert_canonical(q)
+            assert q == built_from(1, [
+                ((e1 + e2,), d, v)
+                for (e1, e2), c in p.terms.items()
+                for d, v in c.coeffs.items()])
+            for u0 in self.U_VALUES:
+                (x,) = self.random_point(rng, 1)
+                assert q.evaluate([x], u0) == p.evaluate([x, x], u0)
+        for legs in (1, 3):
+            with pytest.raises(ValueError):
+                self.random_poly(rng, legs).diagonal()
+
     def test_substitute_linear_with_rational_scales_and_offsets(self, rng):
         for _ in range(40):
             legs = rng.randint(1, 3)
@@ -448,13 +490,15 @@ class TestIntegerKernel:
 
 def assert_canonical_storage(p):
     """The stored form: integer numerators, none zero, over a positive
-    denominator sharing no factor with them, which is 1 for zero."""
+    denominator sharing no factor with them, which is 1 for zero; each key
+    a nonnegative int with no guard bit set and no field above the legs."""
     nums = list(p.num.values())
     assert type(p.den) is int and p.den > 0
     assert all(type(v) is int and v for v in nums)
     assert math.gcd(p.den, *nums) == 1
     assert nums or p.den == 1
-    assert all(len(key) == p.legs + 1 for key in p.num)
+    assert all(type(k) is int and 0 <= k < 1 << _W * (p.legs + 1)
+               and not k & _GUARD for k in p.num)
     assert DPoly(p.legs, p.terms) == p
 
 
@@ -494,6 +538,10 @@ class TestCanonicalForm:
         if legs < 3:
             yield "outer", a.outer(self.random_poly(rng, 3 - legs))
             yield "split", a.split_variable(rng.randint(1, legs))
+        if legs > 1:
+            yield "drop", a.drop_variable(rng.randint(1, legs))
+        if legs == 2:
+            yield "diagonal", a.diagonal()
 
     def test_every_result_is_canonical(self, rng):
         for _ in range(40):
@@ -533,3 +581,62 @@ def test_non_integer_or_negative_exponent_rejected(exps):
 def test_non_integer_or_negative_u_degree_rejected(deg):
     with pytest.raises(ValueError, match="bad degree"):
         UPoly({deg: 1})
+
+
+class TestKeyGuard:
+    """Each field of a packed key stays below _TOP: the constructor, and
+    every operation whose keys add, raise ValueError on reaching it."""
+
+    HALF = _TOP // 2
+
+    @staticmethod
+    def mono(legs, exps, deg=0):
+        return DPoly(legs, {exps: UPoly({deg: 1})})
+
+    @pytest.mark.parametrize("legs", [1, 2, 3])
+    def test_constructor(self, legs):
+        for i in range(legs):
+            exps = [0] * legs
+            exps[i] = _TOP
+            with pytest.raises(ValueError):
+                self.mono(legs, tuple(exps))
+            exps[i] = _TOP - 1
+            assert self.mono(legs, tuple(exps)).terms == {
+                tuple(exps): UPoly.const(1)}
+        with pytest.raises(ValueError):
+            self.mono(legs, (0,) * legs, _TOP)
+        assert self.mono(legs, (0,) * legs, _TOP - 1) == UPoly({_TOP - 1: 1})
+
+    @pytest.mark.parametrize("legs", [1, 2, 3])
+    def test_product(self, legs):
+        h = self.HALF
+        for i in range(legs):
+            a, b = [0] * legs, [0] * legs
+            a[i], b[i] = h, h - 1
+            x, y = self.mono(legs, tuple(a)), self.mono(legs, tuple(b))
+            a[i] = _TOP - 1
+            assert (x * y).terms == {tuple(a): UPoly.const(1)}
+            with pytest.raises(ValueError):
+                x * x
+        zero = (0,) * legs
+        x, y = self.mono(legs, zero, h), self.mono(legs, zero, h - 1)
+        assert x * y == UPoly({_TOP - 1: 1})
+        with pytest.raises(ValueError):
+            x * x
+
+    def test_outer(self):
+        h = self.HALF
+        x, y = self.mono(1, (0,), h), self.mono(2, (0, 0), h - 1)
+        assert x.outer(y) == DPoly.const(3, UPoly({_TOP - 1: 1}))
+        with pytest.raises(ValueError):
+            x.outer(self.mono(2, (0, 0), h))
+        # exponents of separate variables do not add
+        z = self.mono(1, (_TOP - 1,)).outer(self.mono(1, (_TOP - 1,)))
+        assert z.terms == {(_TOP - 1, _TOP - 1): UPoly.const(1)}
+
+    def test_diagonal(self):
+        h = self.HALF
+        assert self.mono(2, (h, h - 1)).diagonal().terms == {
+            (_TOP - 1,): UPoly.const(1)}
+        with pytest.raises(ValueError):
+            self.mono(2, (h, h)).diagonal()
