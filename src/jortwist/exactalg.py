@@ -363,31 +363,32 @@ class DPoly:
         offsets = [_as_fraction(c) for c in offsets]
         lcms = [math.lcm(s.denominator, c.denominator)
                 for s, c in zip(scales, offsets)]
-        by_e = {}
-        for key, v in self.num.items():
-            by_e.setdefault(key >> _W, []).append((key & _MASK, v))
-        shifts = range(0, _W * self.legs, _W)
-        tops = _tops(by_e, shifts)
+        shifts = range(_W, _W * (self.legs + 1), _W)
+        tops = _tops(self.num, shifts)
         expansions = [{} for _ in shifts]
+        images_of = {}
         acc = {}
-        for ek, coef in by_e.items():
-            images = [(0, 1)]
-            for i, sh in enumerate(shifts):
-                e = ek >> sh & _MASK
-                table = expansions[i].get(e)
-                if table is None:
-                    s, c, l = scales[i], offsets[i], lcms[i]
-                    S = s.numerator * (l // s.denominator)
-                    C = c.numerator * (l // c.denominator)
-                    table = [(j << sh + _W, math.comb(e, j) * S**j
-                              * C**(e - j) * l**(tops[i] - e))
-                             for j in range(e + 1)]
-                    table = expansions[i][e] = [t for t in table if t[1]]
-                images = [(ks + kj, k * c)
-                          for ks, k in images for kj, c in table]
+        for key, v in self.num.items():
+            images = images_of.get(key >> _W)
+            if images is None:
+                images = [(0, 1)]
+                for i, sh in enumerate(shifts):
+                    e = key >> sh & _MASK
+                    table = expansions[i].get(e)
+                    if table is None:
+                        s, c, l = scales[i], offsets[i], lcms[i]
+                        S = s.numerator * (l // s.denominator)
+                        C = c.numerator * (l // c.denominator)
+                        table = [(j << sh, math.comb(e, j) * S**j
+                                  * C**(e - j) * l**(tops[i] - e))
+                                 for j in range(e + 1)]
+                        table = expansions[i][e] = [t for t in table if t[1]]
+                    images = [(ks + kj, k * c)
+                              for ks, k in images for kj, c in table]
+                images_of[key >> _W] = images
+            deg = key & _MASK
             for ks, k in images:
-                for deg, v in coef:
-                    acc[ks + deg] = acc.get(ks + deg, 0) + v * k
+                acc[ks + deg] = acc.get(ks + deg, 0) + v * k
         den = self.den * math.prod([l**m for l, m in zip(lcms, tops)])
         return DPoly.from_num(self.legs, acc, den)
 
@@ -507,10 +508,10 @@ class DPoly:
         return out
 
 
-def _tops(es, shifts):
-    """Each leg's top exponent over es, exponent parts (key >> _W) of keys,
-    its field being at each of shifts."""
-    return [max([e >> s & _MASK for e in es], default=0) for s in shifts]
+def _tops(keys, shifts):
+    """Each leg's top exponent over keys, its field being at each of
+    shifts."""
+    return [max([k >> s & _MASK for k in keys], default=0) for s in shifts]
 
 
 def _unguarded(acc):
