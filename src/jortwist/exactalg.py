@@ -22,9 +22,9 @@ VAR_NAMES = ("x", "y", "z")
 # int.  Fields stay below _TOP, so keys add without a carry: a product's key
 # is the sum of its factors' keys.  _GUARD holds each field's top bit.
 _W = 16
-_TOP = 1 << (_W - 1)
-_MASK = (1 << _W) - 1
-_GUARD = sum(_TOP << (_W * i) for i in range(MAX_LEGS + 1))
+_MASK = 0xFFFF
+_TOP = 0x8000
+_GUARD = 0x8000_8000_8000_8000
 
 
 def _as_fraction(value):
@@ -419,22 +419,19 @@ class DPoly:
     def drop_variable(self, slot):
         """The terms free of the slot variable, with that variable removed:
         the polynomial at x_slot = 0, on one leg fewer."""
-        if not 1 <= slot <= self.legs or self.legs < 2:
-            raise ValueError("slot out of range")
         s = _W * slot
-        acc = {(k & (1 << s) - 1) + (k >> s + _W << s): v
-               for k, v in self.num.items() if not k >> s & _MASK}
-        return DPoly.from_num(self.legs - 1, acc, self.den)
+        low = (1 << s) - 1  # the fields below the slot; those above move down
+        return DPoly.from_num(self.legs - 1, {
+            k & low | k >> _W & ~low: v
+            for k, v in self.num.items() if not k >> s & _MASK}, self.den)
 
     def diagonal(self):
-        """The 1-leg polynomial d(x, x) of a 2-leg d(x, y)."""
-        if self.legs != 2:
-            raise ValueError("diagonal needs a 2-leg DPoly")
+        """d(x, x, ...) of d(x, y, ...): y set equal to x, one leg fewer."""
         acc = {}
         for key, v in self.num.items():
             k = (key & (1 << 2 * _W) - 1) + (key >> 2 * _W << _W)
             acc[k] = acc.get(k, 0) + v
-        return DPoly.from_num(1, _unguarded(acc), self.den)
+        return DPoly.from_num(self.legs - 1, _unguarded(acc), self.den)
 
     def evaluate(self, point, u_value=0):
         """Exact value at a rational point (one entry per variable): the
@@ -458,8 +455,7 @@ class DPoly:
         legs = self.legs
         if any(len(p) != legs for p in points):
             raise ValueError("point must assign every variable")
-        u_powers = _ratio_powers(
-            u_value, max([k & _MASK for k in self.num], default=0))
+        u_powers = _ratio_powers(u_value, *_tops(self.num, [0]))
         if not points:
             return [], []
         coefs = {}
@@ -471,19 +467,18 @@ class DPoly:
         nums = [0] * len(points)
         for e, c in coefs.items():
             if c:
-                column = map(c.__mul__, columns[0][e & _MASK])
-                for powers, sh in zip(columns[1:], shifts[1:]):
+                column = repeat(c)
+                for powers, sh in zip(columns, shifts):
                     column = map(operator.mul, column, powers[e >> sh & _MASK])
                 nums = list(map(operator.add, nums, column))
-        dens = map((self.den * u_powers[0]).__mul__, columns[0][0])
-        for powers in columns[1:]:
+        dens = repeat(self.den * u_powers[0])
+        for powers in columns:
             dens = map(operator.mul, dens, powers[0])
         return nums, list(dens)
 
     def specialize_u(self, u0):
         """The polynomial at u = u0: every u-degree becomes 0."""
-        u_table = _ratio_powers(
-            u0, max([k & _MASK for k in self.num], default=0))
+        u_table = _ratio_powers(u0, *_tops(self.num, [0]))
         acc = {}
         for key, v in self.num.items():
             k = key >> _W << _W

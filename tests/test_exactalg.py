@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from jortwist.exactalg import _GUARD, _TOP, _W, DPoly, UPoly, binom_poly
+from jortwist.exactalg import (_GUARD, _MASK, _TOP, _W, MAX_LEGS, DPoly,
+                               UPoly, binom_poly)
 
 from conftest import random_dpoly
 
@@ -443,26 +444,20 @@ class TestIntegerKernel:
                 assert (q.evaluate(point, u0)
                         == p.evaluate(point[:i] + [0] + point[i:], u0))
         assert kept > 30
-        with pytest.raises(ValueError):
-            var(1, 1).drop_variable(1)
-        with pytest.raises(ValueError):
-            var(2, 1).drop_variable(3)
 
     def test_diagonal(self, rng):
         for _ in range(40):
-            p = self.random_poly(rng, 2)
+            legs = rng.randint(2, 3)
+            p = self.random_poly(rng, legs)
             q = p.diagonal()
             assert_canonical(q)
-            assert q == built_from(1, [
-                ((e1 + e2,), d, v)
-                for (e1, e2), c in p.terms.items()
-                for d, v in c.coeffs.items()])
+            assert q == built_from(legs - 1, [
+                ((exps[0] + exps[1],) + exps[2:], d, v)
+                for exps, c in p.terms.items() for d, v in c.coeffs.items()])
             for u0 in self.U_VALUES:
-                (x,) = self.random_point(rng, 1)
-                assert q.evaluate([x], u0) == p.evaluate([x, x], u0)
-        for legs in (1, 3):
-            with pytest.raises(ValueError):
-                self.random_poly(rng, legs).diagonal()
+                point = self.random_point(rng, legs - 1)
+                assert (q.evaluate(point, u0)
+                        == p.evaluate(point[:1] + point, u0))
 
     def test_substitute_linear_with_rational_scales_and_offsets(self, rng):
         for _ in range(40):
@@ -540,7 +535,6 @@ class TestCanonicalForm:
             yield "split", a.split_variable(rng.randint(1, legs))
         if legs > 1:
             yield "drop", a.drop_variable(rng.randint(1, legs))
-        if legs == 2:
             yield "diagonal", a.diagonal()
 
     def test_every_result_is_canonical(self, rng):
@@ -589,6 +583,11 @@ class TestKeyGuard:
 
     HALF = _TOP // 2
 
+    def test_constants_agree_with_the_field_width(self):
+        assert _MASK == (1 << _W) - 1
+        assert _TOP == 1 << _W - 1
+        assert _GUARD == sum(_TOP << _W * i for i in range(MAX_LEGS + 1))
+
     @staticmethod
     def mono(legs, exps, deg=0):
         return DPoly(legs, {exps: UPoly({deg: 1})})
@@ -634,9 +633,11 @@ class TestKeyGuard:
         z = self.mono(1, (_TOP - 1,)).outer(self.mono(1, (_TOP - 1,)))
         assert z.terms == {(_TOP - 1, _TOP - 1): UPoly.const(1)}
 
-    def test_diagonal(self):
+    @pytest.mark.parametrize("legs", [2, 3])
+    def test_diagonal(self, legs):
         h = self.HALF
-        assert self.mono(2, (h, h - 1)).diagonal().terms == {
-            (_TOP - 1,): UPoly.const(1)}
+        rest = (0,) * (legs - 2)
+        assert self.mono(legs, (h, h - 1) + rest).diagonal().terms == {
+            (_TOP - 1,) + rest: UPoly.const(1)}
         with pytest.raises(ValueError):
-            self.mono(2, (h, h)).diagonal()
+            self.mono(legs, (h, h) + rest).diagonal()
