@@ -442,16 +442,9 @@ class DPoly:
     def value_ratios(self, points, u_value=0):
         """(nums, dens): the exact values at `points`, a tuple of tuples, as
         two lists of ints, value j being nums[j]/dens[j] with dens[j] > 0,
-        not reduced.
-
-        With x_i = a_i/b_i at a point, u = a/b, and m_i the top exponent of
-        each, the key of (e_1, ..., u-degree) with numerator v contributes
-        v * a^deg b^(m-deg) * prod a_i^e_i b_i^(m_i-e_i) over
-        den * b^m * prod b_i^m_i.  The u part is the same at every point, so
-        each monomial's numerators are summed into one int first; that int
-        then meets the monomial's column over the points, the product of
-        its variables' memoised power columns (`_power_columns`), once.
-        """
+        not reduced.  Each monomial's numerators are summed with the powers
+        of u first, then multiplied once into the monomial's column over the
+        points, the product of its variables' memoised power columns."""
         legs = self.legs
         if any(len(p) != legs for p in points):
             raise ValueError("point must assign every variable")
