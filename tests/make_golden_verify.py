@@ -3,7 +3,9 @@
 --order 5 --format json`, of `jortwist verify --check hopf|forms
 --order 4 --format json`, of `jortwist verify --check hopf --order 6
 --u 1/3 --format json`, of `jortwist verify --check normalization --order 8
---format json` and of `jortwist verify --check cocycle --family R --order 6
+--format json`, of `jortwist verify --check cocycle --family R --order 6
+--format json`, of `jortwist verify --check cocycle --family L --order 7
+--format json` and of `jortwist verify --check cocycle --order 6 --u 2/7
 --format json`.
 
     PYTHONPATH=src python3 tests/make_golden_verify.py
@@ -28,6 +30,10 @@ ARGVS = (["verify", "--all", "--order", "3", "--format", "json"],
          ["verify", "--check", "normalization", "--order", "8", "--format",
           "json"],
          ["verify", "--check", "cocycle", "--family", "R", "--order", "6",
+          "--format", "json"],
+         ["verify", "--check", "cocycle", "--family", "L", "--order", "7",
+          "--format", "json"],
+         ["verify", "--check", "cocycle", "--order", "6", "--u", "2/7",
           "--format", "json"])
 
 
