@@ -137,41 +137,9 @@ class TensorElement:
         return res
 
     def __mul__(self, other):
-        """Normal-ordered product.
-
-        Per leg: (P^a Q^b f(D)) (P^c Q^d g(D)) = P^(a+c) Q^(b+d)
-        f(D-c-d) g(D); terms above the truncation grade are dropped.
-        """
         if not isinstance(other, TensorElement):
             return NotImplemented
-        self._check_shape(other)
-        N = self.truncation
-        out = {}
-        # group the right factor by the D-shift it induces on the left
-        by_offset = {}
-        for kb, db in other.terms.items():
-            offsets = tuple(-(p + q) for p, q in kb)
-            by_offset.setdefault(offsets, []).append((_key_grade(kb), kb, db))
-        for ka, da in self.terms.items():
-            room = N - _key_grade(ka)
-            for offsets, entries in by_offset.items():
-                kept = [(kb, db) for gb, kb, db in entries if gb <= room]
-                if not kept:
-                    continue
-                shifted = da.shift(offsets)
-                for kb, db in kept:
-                    key = tuple((pa + pb, qa + qb)
-                                for (pa, qa), (pb, qb) in zip(ka, kb))
-                    d = shifted * db
-                    s = out.get(key)
-                    s = d if s is None else s + d
-                    if s.is_zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        res = TensorElement(self.legs, self.truncation)
-        res.terms = out
-        return res
+        return sum_of_products([(self, other)])
 
     def tensor(self, other):
         """Tensor product; legs concatenate, truncations must agree."""
@@ -261,17 +229,14 @@ class TensorElement:
         res.terms = out
         return res
 
-    def fold_mul_antipode(self, side="right"):
-        """Multiply the two legs after applying S to the right one, sum
-        f1 * S(f2); `side` must be "right".
+    def fold_mul_antipode(self):
+        """Sum f1 * S(f2): multiply the legs after S on the right one.
 
         With s = a2 + b2, the term P^a1 Q^b1 (x) P^a2 Q^b2 d(x, y) folds to
         P^(a1+a2) Q^(b1+b2) times (-1)^s d(D - s, -D + s).
         """
         if self.legs != 2:
             raise ValueError("fold_mul_antipode needs a 2-leg element")
-        if side != "right":
-            raise ValueError("side must be 'right'")
         out = {}
         for ((a1, b1), (a2, b2)), d in self.terms.items():
             s = a2 + b2
@@ -309,6 +274,42 @@ class TensorElement:
     def __repr__(self):
         return ("TensorElement(legs=%d, N=%d, %d terms)"
                 % (self.legs, self.truncation, len(self.terms)))
+
+
+def sum_of_products(pairs):
+    """Sum a * b over (a, b) pairs of elements of one shape, in normal
+    order: per leg, (P^a Q^b f(D)) (P^c Q^d g(D)) = P^(a+c) Q^(b+d)
+    f(D-c-d) g(D), terms above the truncation dropped.  A left term is
+    shifted once per offset group of the right factor with a term in
+    range, and each output key's pairs make one `DPoly.dot`."""
+    if not pairs:
+        raise ValueError("no pairs to sum")
+    first = pairs[0][0]
+    N = first.truncation
+    collected = {}
+    for a, b in pairs:
+        first._check_shape(a)
+        first._check_shape(b)
+        # group the right factor by the D-shift it induces on the left
+        by_offset = {}
+        for kb, db in b.terms.items():
+            offsets = tuple(-(p + q) for p, q in kb)
+            by_offset.setdefault(offsets, []).append((_key_grade(kb), kb, db))
+        for ka, da in a.terms.items():
+            room = N - _key_grade(ka)
+            for offsets, entries in by_offset.items():
+                kept = [(kb, db) for gb, kb, db in entries if gb <= room]
+                if not kept:
+                    continue
+                shifted = da.shift(offsets)
+                for kb, db in kept:
+                    key = tuple((pa + pb, qa + qb)
+                                for (pa, qa), (pb, qb) in zip(ka, kb))
+                    collected.setdefault(key, []).append((shifted, db))
+    res = TensorElement(first.legs, N)
+    res.terms = {key: d for key, products in collected.items()
+                 if not (d := DPoly.dot(first.legs, products)).is_zero}
+    return res
 
 
 def first_difference(a, b):
@@ -388,14 +389,10 @@ def geometric_inverse(e):
     a = [e.grade_slice(i) for i in range(N + 1)]
     G = [one]
     for n in range(1, N + 1):
-        g = TensorElement.zero(e.legs, N)
-        for i in range(1, n + 1):
-            g = g + a[i] * G[n - i]
-        G.append(-g)
-    res = TensorElement(e.legs, N)
-    for g in G:
-        res.terms.update(g.terms)
-    return res
+        G.append(-sum_of_products([(a[i], G[n - i])
+                                   for i in range(1, n + 1)]))
+    return TensorElement(e.legs, N,
+                         {k: d for g in G for k, d in g.terms.items()})
 
 
 def conjugate(F, X, Finv):

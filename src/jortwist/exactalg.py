@@ -156,7 +156,7 @@ class UPoly:
         return format_upoly(self)
 
 
-def format_upoly(p, var="u"):
+def format_upoly(p):
     if p.is_zero:
         return "0"
     out = ""
@@ -165,7 +165,7 @@ def format_upoly(p, var="u"):
         if deg == 0:
             mono = str(c)
         else:
-            uv = var if deg == 1 else "%s^%d" % (var, deg)
+            uv = "u" if deg == 1 else "u^%d" % deg
             if c == 1:
                 mono = uv
             elif c == -1:
@@ -319,7 +319,7 @@ class DPoly:
         if not isinstance(other, DPoly):
             return NotImplemented
         self._check_legs(other)
-        return self._product(other.num.items(), self.legs, other.den)
+        return self.dot(self.legs, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -337,18 +337,23 @@ class DPoly:
         if legs > MAX_LEGS:
             raise ValueError("outer product exceeds %d legs" % MAX_LEGS)
         s = _W * (self.legs + 1)
-        return self._product([((k >> _W << s) + (k & _MASK), v)
-                              for k, v in other.num.items()], legs, other.den)
+        return self.dot(legs, [(self, DPoly.from_num(legs, {
+            (k >> _W << s) + (k & _MASK): v for k, v in other.num.items()},
+            other.den))])
 
-    def _product(self, B, legs, den):
-        """The product with B, (packed key, numerator) pairs over den, as a
-        DPoly of `legs` legs: each pair of keys adds to its product's key."""
+    @staticmethod
+    def dot(legs, pairs):
+        """Sum a * b over pairs (a, b) of DPolys, in ints over one lcm."""
+        den = math.lcm(*[a.den * b.den for a, b in pairs])
         acc = {}
-        for k1, v1 in self.num.items():
-            for k2, v2 in B:
-                k = k1 + k2
-                acc[k] = acc.get(k, 0) + v1 * v2
-        return DPoly.from_num(legs, _unguarded(acc), self.den * den)
+        for a, b in pairs:
+            f = den // (a.den * b.den)
+            for k1, v1 in a.num.items():
+                v1 *= f
+                for k2, v2 in b.num.items():
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + v1 * v2
+        return DPoly.from_num(legs, _unguarded(acc), den)
 
     def substitute_linear(self, scales, offsets):
         """Replace each variable x_i by scales[i]*x_i + offsets[i].
@@ -544,8 +549,7 @@ def _power_columns(points, tops):
     denominators b^m, which make up the first row.
 
     Memoised by (points, i, m), so the returned rows are shared between
-    calls and must not be mutated.  Keying by the caller's points, rather
-    than by a new tuple per call, keeps a hot caller from churning tuples.
+    calls and must not be mutated.
     """
     # checked before the lookup: 1.0 would find the rows of 1
     if not all(map(isinstance, chain.from_iterable(points),
@@ -573,13 +577,10 @@ def binom_poly(T, k):
     """
     if k < 0:
         raise ValueError("binomial lower index must be nonnegative")
-    key = (type(T), T, k)
+    key = (T, k)
     res = _BINOM.get(key)
     if res is None:
-        if isinstance(T, DPoly):
-            res = DPoly.const(T.legs, 1)
-        else:
-            res = UPoly.const(1)
+        res = DPoly.const(T.legs, 1)
         for j in range(k):
             res = res * (T - j)
         res = _BINOM[key] = res * Fraction(1, math.factorial(k))

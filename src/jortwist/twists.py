@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exactalg import DPoly, UPoly, binom_poly
 from .borel import (TensorElement, exp_series, first_difference,
-                    geometric_inverse, log1p_series)
+                    geometric_inverse, log1p_series, sum_of_products)
 from .report import VerificationReport, merge_reports
 
 FAMILIES = ("0", "1", "L", "R")
@@ -308,9 +308,8 @@ def check_cocycle(family, N, u=None, element=None):
         left = [F.grade_slice(n).tensor(one1) for n in range(N + 1)]
         right = [F.grade_slice(n).coproduct(1) for n in range(N + 1)]
         decomposition_ok = all(
-            sum((left[n - i] * right[i] for i in range(n + 1)),
-                TensorElement.zero(3, N)) == lhs.grade_slice(n)
-            for n in range(N + 1))
+            sum_of_products([(left[n - i], right[i]) for i in range(n + 1)])
+            == lhs.grade_slice(n) for n in range(N + 1))
         notes.append("per-order convolution decomposition %s"
                      % ("matches" if decomposition_ok else "DIFFERS"))
     return _compare("cocycle", _params(family, N, u, via_inverse=via_inverse),
@@ -376,7 +375,7 @@ def check_hopf_data(family, N, u=None):
         raise ValueError("Hopf-data check applies to families L and R")
     F = build_twist(family, "twist", N, u)
     # chi = sum f(1) S(f(2)); the deformed antipode is chi S(.) chi^-1
-    chi = F.fold_mul_antipode("right")
+    chi = F.fold_mul_antipode()
     reports = []
     for generator in "PQD":
         g = _probe(generator, N)

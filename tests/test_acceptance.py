@@ -125,7 +125,7 @@ def test_criterion_10_hopf_axioms_randomized():
         ok = ok and e.coproduct(1).coproduct(1) == e.coproduct(1).coproduct(2)
         ok = ok and e.coproduct(1).counit_contract(1) == e
         ok = ok and e.coproduct(1).counit_contract(2) == e
-        ok = ok and (e.coproduct(1).fold_mul_antipode("right")
+        ok = ok and (e.coproduct(1).fold_mul_antipode()
                      == one.scale(e.counit_scalar()))
     elapsed = time.monotonic() - start
     _announce(10, "undeformed Hopf axioms on 100 random elements", ok,

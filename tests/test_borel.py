@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from jortwist.exactalg import DPoly, UPoly
 from jortwist.borel import (TensorElement, conjugate, exp_series,
                             first_difference, geometric_inverse,
-                            log1p_series, series_apply)
+                            log1p_series, series_apply, sum_of_products)
 from jortwist.twists import _closed_F0, _closed_F1, _closed_L
 
 from conftest import random_element
@@ -130,6 +131,98 @@ class TestNormalMul:
         assert product.terms == truncated.terms
 
 
+def written_out_sum(pairs):
+    """The sum of a * b over pairs, term by term over `.terms` with
+    Fraction coefficients: per leg, P^pa Q^qa x^e times P^pb Q^qb x^f is
+    P^(pa+pb) Q^(qa+qb) (x - pb - qb)^e x^f, expanded by the binomial
+    theorem."""
+    legs, n = pairs[0][0].legs, pairs[0][0].truncation
+    acc = {}
+    for a, b in pairs:
+        for ka, da in a.terms.items():
+            for kb, db in b.terms.items():
+                key = tuple((pa + pb, qa + qb)
+                            for (pa, qa), (pb, qb) in zip(ka, kb))
+                if sum(p for p, _ in key) > n:
+                    continue
+                for e, ca in da.terms.items():
+                    # the shifted left monomial: {exponents: integer factor}
+                    shifted = {(): 1}
+                    for ei, (pb, qb) in zip(e, kb):
+                        shifted = {js + (j,): c * math.comb(ei, j)
+                                   * (-pb - qb)**(ei - j)
+                                   for js, c in shifted.items()
+                                   for j in range(ei + 1)}
+                    for f, cb in db.terms.items():
+                        for js, c in shifted.items():
+                            exps = tuple(j + fi for j, fi in zip(js, f))
+                            coef = acc.setdefault(key, {}).setdefault(exps,
+                                                                      {})
+                            for d1, v1 in ca.coeffs.items():
+                                for d2, v2 in cb.coeffs.items():
+                                    coef[d1 + d2] = (coef.get(d1 + d2, 0)
+                                                     + c * v1 * v2)
+    return TensorElement(legs, n, {
+        key: DPoly(legs, {e: UPoly(c) for e, c in terms.items()})
+        for key, terms in acc.items()})
+
+
+class TestSumOfProducts:
+    def random_pairs(self, rng, legs, n):
+        """Pairs of random elements, some specialised to a rational u, each
+        scaled by its own rational so that the denominators are mixed."""
+        out = []
+        for _ in range(rng.randint(1, 4)):
+            pair = []
+            for _ in range(2):
+                e = random_element(rng, legs, n, max_q=1)
+                if rng.random() < 0.3:
+                    e = e.specialize_u(Fraction(rng.randint(-3, 3), 5))
+                pair.append(e.scale(Fraction(rng.randint(1, 9),
+                                             rng.randint(1, 11))))
+            out.append(tuple(pair))
+        return out
+
+    def test_matches_the_written_out_products(self, rng):
+        for _ in range(30):
+            legs, n = rng.randint(1, 3), rng.randint(1, 4)
+            pairs = self.random_pairs(rng, legs, n)
+            if rng.random() < 0.3:
+                a, b = pairs[0]
+                pairs.append((-a, b))
+            got = sum_of_products(pairs)
+            assert got == written_out_sum(pairs)
+            assert all(not d.is_zero for d in got.terms.values())
+
+    def test_a_key_that_cancels_is_absent(self):
+        x = DPoly.variable(1, 1)
+        left = TensorElement(1, N, {((1, 0),): 1, ((0, 0),): x})
+        got = sum_of_products([(left, Q()), (-P(), Q())])
+        # (P + D) Q - P Q = Q (D - 1): the key P Q cancels
+        assert got.terms == {((0, 1),): x - 1}
+        assert sum_of_products([(P(), Q()), (-Q(), P())]).terms == {}
+
+    def test_shape_mismatch_and_no_pairs_raise(self):
+        with pytest.raises(ValueError):
+            sum_of_products([(P(), P()), (P(), one(2))])
+        with pytest.raises(ValueError):
+            sum_of_products([(P(), P()), (P(3), P(3))])
+        with pytest.raises(ValueError):
+            sum_of_products([])
+
+    def test_a_product_multiplies_and_adds_no_dpoly(self, monkeypatch):
+        a = b = _closed_L(3)
+        expected = a * b
+        assert len(expected.terms) > 1
+
+        def refuse(*args):
+            raise AssertionError("DPoly arithmetic inside a product")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(DPoly, name, refuse)
+        assert a * b == expected
+
+
 class TestSeries:
     def test_exp_of_zero(self):
         assert exp_series(TensorElement.zero(2, N)) == one(2)
@@ -251,24 +344,24 @@ class TestAntipode:
 
 class TestFoldAntipode:
     def test_unit(self):
-        assert one(2).fold_mul_antipode("right") == one()
+        assert one(2).fold_mul_antipode() == one()
 
     def test_p_tensor_d(self):
         # P * S(D) = -P D
-        assert P().tensor(D()).fold_mul_antipode("right") == -(P() * D())
+        assert P().tensor(D()).fold_mul_antipode() == -(P() * D())
 
     def test_antipode_axiom_randomized(self, rng):
         # m (id (x) S) Delta = eta eps
         for _ in range(25):
             e = random_element(rng, 1, 3)
             expected = one(1, 3).scale(e.counit_scalar())
-            assert e.coproduct(1).fold_mul_antipode("right") == expected
+            assert e.coproduct(1).fold_mul_antipode() == expected
 
     def test_twisted_antipode_of_jordanian_twist(self):
         # chi S(D) chi^-1 for the momentum-side twist must give
         # -(1 - P/kappa) D
         n = 3
-        chi = _closed_F0(n).fold_mul_antipode("right")
+        chi = _closed_F0(n).fold_mul_antipode()
         sfd = chi * D(n).antipode() * geometric_inverse(chi)
         target = -((TensorElement.one(1, n) - P(n)) * D(n))
         assert sfd == target
@@ -285,11 +378,7 @@ class TestFoldAntipode:
                 for (e1, e2), c in d.terms.items():
                     m1, m2 = mono(a1, b1, e1, 3), mono(a2, b2, e2, 3)
                     expected = expected + (m1 * m2.antipode()).scale(c)
-            assert element.fold_mul_antipode("right") == expected
-
-    def test_left_side_is_rejected(self):
-        with pytest.raises(ValueError):
-            one(2).fold_mul_antipode("left")
+            assert element.fold_mul_antipode() == expected
 
 
 class TestConjugate:

@@ -382,6 +382,22 @@ class TestIntegerKernel:
         assert (3 - (x + 3)).num == (-x).num
         assert x - x == DPoly(2) == (x + 5) - (x + 5)
 
+    def test_dot(self, rng):
+        """DPoly.dot sums the products of pairs whose denominators differ,
+        each scaled to their lcm, as the Fraction sum of every term pair."""
+        for _ in range(40):
+            legs = rng.randint(1, 3)
+            pairs_ = [(self.random_poly(rng, legs) * rng.choice(self.RATIONALS),
+                       self.random_poly(rng, legs))
+                      for _ in range(rng.randint(1, 4))]
+            got = DPoly.dot(legs, pairs_)
+            assert_canonical(got)
+            assert got == built_from(legs, [
+                ([i + j for i, j in zip(e1, e2)], d, v)
+                for a, b in pairs_ for e1, e2, d, v in pairs(a, b)])
+        a, b = self.random_poly(rng, 2), self.random_poly(rng, 2)
+        assert DPoly.dot(2, [(a, b), (-a, b)]) == DPoly(2)
+
     def test_product_cancellation_leaves_no_zero(self):
         x = var(1, 1)
         p = (x + u()) * (x - u())
@@ -522,6 +538,9 @@ class TestCanonicalForm:
         yield "sub-int-to-constant", (a + n) - a
         yield "int-cancels-constant", (var(legs, 1) + n) - n
         yield "mul", a * b
+        yield "dot", DPoly.dot(legs, [(a, b), (b * c, a),
+                                      (a, b * Fraction(1, 7))])
+        yield "dot-cancels", DPoly.dot(legs, [(a, b * c), (-a * c, b)])
         yield "scalar", a * c
         yield "scalar-zero", a * 0
         yield "upoly", a * UPoly({0: c, 1: Fraction(1, 6)})
@@ -622,6 +641,21 @@ class TestKeyGuard:
         assert x * y == UPoly({_TOP - 1: 1})
         with pytest.raises(ValueError):
             x * x
+
+    @pytest.mark.parametrize("legs", [1, 2, 3])
+    def test_dot(self, legs):
+        h = self.HALF
+        zero = (0,) * legs
+        x, y = self.mono(legs, zero, h), self.mono(legs, zero, h - 1)
+        assert DPoly.dot(legs, [(x, y), (y, x)]) == UPoly({_TOP - 1: 2})
+        with pytest.raises(ValueError):
+            DPoly.dot(legs, [(x, y), (x, x)])
+        for i in range(legs):
+            a = [0] * legs
+            a[i] = h
+            x = self.mono(legs, tuple(a))
+            with pytest.raises(ValueError):
+                DPoly.dot(legs, [(y, y), (x, x)])
 
     def test_outer(self):
         h = self.HALF

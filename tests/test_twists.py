@@ -193,7 +193,7 @@ class TestHopfData:
         # oracle: the printed closed form at u=0, -(1 - P/kappa) D
         n = 3
         F = build_twist("L", "twist", n, Fraction(0))
-        chi = F.fold_mul_antipode("right")
+        chi = F.fold_mul_antipode()
         sfd = chi * D(n).antipode() * geometric_inverse(chi)
         assert sfd == -((one(1, n) - P(n)) * D(n))
 
