@@ -192,8 +192,9 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_deleted_inverse_check_is_a_usage_error(self, capsys):
-        # F F^-1 = 1 holds by construction of the series inverse; the
-        # product-against-series inverse comparison is part of "forms"
+        # F F^-1 = 1 holds by construction of the series inverse, and so
+        # does the product-against-series comparison of the direction the
+        # paper does not print; "forms" compares the printed one
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--check", "inverse", "--order", "1"])
         assert exc.value.code == 2

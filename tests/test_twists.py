@@ -113,6 +113,30 @@ class TestNormalization:
         rep = check_normalization("0", 2, element=bad)
         assert not rep.passed
 
+    def test_counits_read_the_transcribed_series(self, monkeypatch):
+        # family R's printed series is its inverse; the counits are algebra
+        # maps, so they are applied to it as printed, not to its inverse
+        calls = []
+        inverse = twists.geometric_inverse
+        monkeypatch.setattr(twists, "geometric_inverse",
+                            lambda a: calls.append(a) or inverse(a))
+        rep = check_normalization("R", 4)
+        assert rep.passed and rep.params["via_inverse"] is True
+        assert check_normalization("L", 4).params["via_inverse"] is False
+        assert calls == []
+
+    def test_counit_surviving_bump_fails_at_its_grade(self, monkeypatch):
+        # 1 (x) P^2 D keeps its first leg at (0, 0) and D on the second, so
+        # eps (x) id leaves P^2 D, a grade-2 difference; id (x) eps drops it
+        closed = twists._closed_R_inverse
+        monkeypatch.setattr(twists, "_closed_R_inverse", lambda N, u=None:
+                            mutate_coefficient(closed(N, u),
+                                               ((0, 0), (2, 0)), (0, 1), 1))
+        rep = check_normalization("R", 3)
+        assert not rep.passed
+        assert rep.grades == {0: True, 1: True, 2: False, 3: True}
+        assert rep.failure["grade"] == 2
+
 
 class TestCocycle:
     def test_jordanian_twist(self):
@@ -173,6 +197,35 @@ class TestFormEquality:
 
     def test_rational_u(self):
         assert check_form_equality("L", 4, Fraction(3, 7)).passed
+
+    @pytest.mark.parametrize("family, direction",
+                             [("L", "twist"), ("R", "inverse")])
+    def test_builds_the_transcribed_direction_only(self, monkeypatch,
+                                                   family, direction):
+        builds, inverses = [], []
+        build, inverse = twists.build_twist, twists.geometric_inverse
+        monkeypatch.setattr(twists, "build_twist", lambda *a: builds.append(
+            a) or build(*a))
+        monkeypatch.setattr(twists, "geometric_inverse",
+                            lambda a: inverses.append(a) or inverse(a))
+        assert check_form_equality(family, 3).passed
+        assert builds == [(family, direction, 3, None, form)
+                          for form in ("product", "closed")]
+        assert inverses == []
+
+    @pytest.mark.parametrize("family, closed",
+                             [("L", "_closed_L"), ("R", "_closed_R_inverse")])
+    def test_closed_series_bump_fails_at_grade_two(self, monkeypatch,
+                                                   family, closed):
+        unbumped = getattr(twists, closed)
+        monkeypatch.setattr(twists, closed, lambda N, u=None:
+                            mutate_coefficient(unbumped(N, u),
+                                               ((1, 0), (1, 0)), (1, 0), 1))
+        rep = check_form_equality(family, 3)
+        assert not rep.passed
+        assert rep.grades == {0: True, 1: True, 2: False, 3: True}
+        assert rep.failure["grade"] == 2
+        assert check_form_equality("LR".replace(family, ""), 3).passed
 
 
 class TestHopfData:
