@@ -1,15 +1,6 @@
 """Write tests/golden.json: the SHA-256 of the stdout of every command line
-in ARGVS, and of each identity chain's instance sequence.
-
-ARGVS holds `jortwist expand --format json` at order 5 with symbolic u for
-every family, direction and form that builds; `jortwist identities
---format json` for the bigident suite at bounds 2, 3 and 4, the L chain at
-bounds 2 and 3, the R chain at bound 3 and the determinant at order 5; and
-`jortwist verify --format json` for `--all --order 3`, `--check cocycle
---family L --order 5`, `--check hopf|forms --order 4`, `--check hopf
---order 6 --u 1/3`, `--check normalization --order 8`, `--check cocycle
---family R --order 6`, `--check cocycle --family L --order 7` and `--check
-cocycle --order 6 --u 2/7`.  An instance sequence digest covers every
+in ARGVS that exits 0 (`expand`, `identities` and `verify`, each with
+`--format json`), and of each identity chain's instance sequence, every
 instance's (chain, params, str(lhs), str(rhs), equal) in order, for the L
 and R chains at bounds 0 to 3.
 

@@ -204,8 +204,8 @@ class TestFormEquality:
                                                    family, direction):
         builds, inverses = [], []
         build, inverse = twists.build_twist, twists.geometric_inverse
-        monkeypatch.setattr(twists, "build_twist", lambda *a: builds.append(
-            a) or build(*a))
+        monkeypatch.setattr(twists, "build_twist",
+                            lambda *a: builds.append(a) or build(*a))
         monkeypatch.setattr(twists, "geometric_inverse",
                             lambda a: inverses.append(a) or inverse(a))
         assert check_form_equality(family, 3).passed
