@@ -6,8 +6,9 @@ and R chains at bounds 0 to 3.
 
     PYTHONPATH=src python3 tests/golden.py
 
-Run it at a commit whose outputs are trusted; test_golden.py then fails on
-any output whose bytes differ from these digests, and on any chain that
+Run it at a commit whose outputs are trusted; the tests
+test_golden_{expand,identities,verify}.py, one per SECTIONS entry, then fail
+on any output whose bytes differ from these digests, and on any chain that
 produces other instances or the same ones in another order.
 """
 
@@ -42,6 +43,9 @@ ARGVS = tuple(
         ["--check", "cocycle", "--family", "L", "--order", "7"],
         ["--check", "cocycle", "--order", "6", "--u", "2/7"])])
 CHAIN_BOUNDS = {"L": range(4), "R": range(4)}
+# The first words of the keys of each section of golden.json.
+SECTIONS = {"expand": ("expand",), "identities": ("identities", "instances"),
+            "verify": ("verify",)}
 
 
 def digests_of(argvs):
@@ -77,15 +81,28 @@ def instance_digests():
             for chain, bounds in CHAIN_BOUNDS.items() for bound in bounds}
 
 
-def digests():
-    """Every output digest (for each argv that exits 0) and every instance
-    sequence digest."""
-    return {**digests_of(ARGVS), **instance_digests()}
+def digests(section):
+    """The output digests of the argvs of one SECTIONS entry (those that exit
+    0), with the instance sequence digests for "identities"."""
+    heads = SECTIONS[section]
+    out = digests_of([argv for argv in ARGVS if argv[0] in heads])
+    if "instances" in heads:
+        out.update(instance_digests())
+    return out
+
+
+def golden(section):
+    """The entries of golden.json in one SECTIONS entry."""
+    with open(GOLDEN) as fh:
+        return {key: digest for key, digest in json.load(fh).items()
+                if key.split()[0] in SECTIONS[section]}
 
 
 def main():
     with open(GOLDEN, "w") as fh:
-        json.dump(digests(), fh, indent=2, sort_keys=True)
+        json.dump({key: digest for section in SECTIONS
+                   for key, digest in digests(section).items()},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

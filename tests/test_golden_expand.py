@@ -1,10 +1,8 @@
-import json
-
-import make_golden_expand
+import golden
 
 
 def test_expand_outputs_match_golden_digests():
-    with open(make_golden_expand.GOLDEN) as fh:
-        golden = json.load(fh)
-    assert len(golden) == 12
-    assert make_golden_expand.digests() == golden
+    want = golden.golden("expand")
+    # 12 of the 24 family, direction and form combinations build
+    assert len(want) == 12
+    assert golden.digests("expand") == want

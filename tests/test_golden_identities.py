@@ -1,12 +1,8 @@
-import json
-
-import make_golden_identities
+import golden
 
 
 def test_identity_reports_match_golden_digests():
-    with open(make_golden_identities.GOLDEN) as fh:
-        golden = json.load(fh)
-    assert len(golden) == (len(make_golden_identities.SUITES)
-                           + sum(map(len, make_golden_identities
-                                     .CHAIN_BOUNDS.values())))
-    assert make_golden_identities.digests() == golden
+    want = golden.golden("identities")
+    # 7 identity reports and 8 instance sequences
+    assert len(want) == 15
+    assert golden.digests("identities") == want

@@ -1,10 +1,7 @@
-import json
-
-import make_golden_verify
+import golden
 
 
 def test_verify_reports_match_golden_digests():
-    with open(make_golden_verify.GOLDEN) as fh:
-        golden = json.load(fh)
-    assert len(golden) == len(make_golden_verify.ARGVS)
-    assert make_golden_verify.digests() == golden
+    want = golden.golden("verify")
+    assert len(want) == 9
+    assert golden.digests("verify") == want
