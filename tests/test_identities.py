@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -39,7 +40,8 @@ class TestBigIdentity:
             verify_bigident(1, 1, 0, 2)
 
     def test_symbolic_agrees_with_point_samples(self):
-        # _instance already samples; spot-check one instance by hand too
+        # an exact evaluation, independent of the canonical equality that
+        # _instance decides on
         inst = verify_bigident(2, 2, 1, 1)
         for point in [(0, 0, 0), (1, 2, 3), (-2, 5, -7)]:
             pt = [Fraction(v) for v in point]
@@ -74,9 +76,9 @@ class TestSampleCheck:
             calls.append((self, tuple(map(tuple, points)), u_value))
             return value_ratios(self, points, u_value)
 
-        monkeypatch.setattr(DPoly, "value_ratios", counting)
         inst = verify_bigident(2, 1, 1, 1)
-        assert inst.equal
+        monkeypatch.setattr(DPoly, "value_ratios", counting)
+        assert _sample_check(inst.lhs, inst.rhs) is True
         assert len(calls) == 2
         assert {id(side) for side, _, _ in calls} == {id(inst.lhs),
                                                       id(inst.rhs)}
@@ -136,7 +138,7 @@ class TestSuites:
                                "params": {"k": 1, "l": 1, "A": 1, "C": 0},
                                "left": str(good.lhs),
                                "right": str(good.rhs + 1)}
-        assert rep.notes == ["18 instances checked"]
+        assert rep.notes == ["9 instances checked"]
 
     def test_broken_chain_L_instance_is_reported(self, monkeypatch):
         real = identities._instance
@@ -156,6 +158,33 @@ class TestSuites:
         assert rep.failure == {"chain": "L6", "params": broken[1],
                                "left": str(lhs), "right": str(rhs)}
         assert rep.notes == ["54 instances checked"]
+
+    def test_suites_decide_on_canonical_equality_alone(self, monkeypatch):
+        # equal canonical sides agree at every point, so no suite samples
+        def unreachable(lhs, rhs):
+            raise AssertionError("_sample_check called")
+
+        monkeypatch.setattr(identities, "_sample_check", unreachable)
+        for chain in identities.SUITES:
+            rep = verify_identity_chain(chain, 2)
+            assert rep.passed, rep.failure
+
+    def test_bigident_yields_each_instance_once(self):
+        r = range(3)
+        expected = [(k, l, A, C) for k in r for l in r
+                    for A in range(k + 1) for C in range(l + 1)]
+        seen = [(inst.chain, tuple(inst.params[n] for n in "klAC"))
+                for inst in identities._bigident_instances(2)]
+        assert seen == [("bigident", params) for params in expected]
+
+    def test_index_swap_builds_the_same_polynomials(self):
+        # why the suite does not run the swap: exact addition is
+        # commutative, so the reversed sums are the same canonical DPolys
+        for k, l in product(range(4), range(4)):
+            for A, C in product(range(k + 1), range(l + 1)):
+                inst = verify_bigident(k, l, A, C)
+                swap = verify_bigident_index_swap(k, l, A, C)
+                assert (swap.lhs, swap.rhs) == (inst.lhs, inst.rhs)
 
     @pytest.mark.parametrize("name", ["_chain_L_instances",
                                       "_chain_R_instances"])
