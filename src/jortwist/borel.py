@@ -30,7 +30,8 @@ class TensorElement:
     terms maps a tuple of per-leg momentum degrees (pdeg, qdeg) to the
     DPoly (in the per-leg dilatation variables) standing to their right.
     A stored term with total momentum degree g represents the operator
-    times (1/kappa)^g; terms of grade above the truncation are dropped.
+    times (1/kappa)^g.  Every operation returns through the constructor,
+    which alone drops zero coefficients and terms above the truncation.
     """
 
     __slots__ = ("legs", "truncation", "terms")
@@ -45,9 +46,11 @@ class TensorElement:
         cleaned = {}
         if terms:
             for key, d in terms.items():
-                key = tuple((p, q) for p, q in key)
-                if len(key) != legs or not all(isinstance(n, int) and n >= 0
-                                               for leg in key for n in leg):
+                # the key is kept, not copied: elements made from one
+                # another share their key tuples
+                if (len(key) != legs or not all(len(leg) == 2 for leg in key)
+                        or not all(isinstance(n, int) and n >= 0
+                                   for leg in key for n in leg)):
                     raise ValueError("bad momentum key %r" % (key,))
                 if _key_grade(key) > truncation:
                     continue
@@ -60,10 +63,6 @@ class TensorElement:
         self.terms = cleaned
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, legs, truncation):
-        return cls(legs, truncation)
 
     @classmethod
     def one(cls, legs, truncation):
@@ -94,9 +93,9 @@ class TensorElement:
         """The homogeneous part of kappa-grade n."""
         if not 0 <= n <= self.truncation:
             raise ValueError("grade out of range")
-        res = TensorElement(self.legs, self.truncation)
-        res.terms = {k: d for k, d in self.terms.items() if _key_grade(k) == n}
-        return res
+        return TensorElement(self.legs, self.truncation,
+                             {k: d for k, d in self.terms.items()
+                              if _key_grade(k) == n})
 
     def _check_shape(self, other):
         if self.legs != other.legs or self.truncation != other.truncation:
@@ -110,31 +109,20 @@ class TensorElement:
         self._check_shape(other)
         out = dict(self.terms)
         for key, d in other.terms.items():
-            s = out.get(key)
-            s = d if s is None else s + d
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        res = TensorElement(self.legs, self.truncation)
-        res.terms = out
-        return res
+            out[key] = out[key] + d if key in out else d
+        return TensorElement(self.legs, self.truncation, out)
 
     def __neg__(self):
-        res = TensorElement(self.legs, self.truncation)
-        res.terms = {k: -d for k, d in self.terms.items()}
-        return res
+        return TensorElement(self.legs, self.truncation,
+                             {k: -d for k, d in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         """Multiply by a central scalar (rational or polynomial in u)."""
-        if c == 0:
-            return TensorElement(self.legs, self.truncation)
-        res = TensorElement(self.legs, self.truncation)
-        res.terms = {k: d * c for k, d in self.terms.items()}
-        return res
+        return TensorElement(self.legs, self.truncation,
+                             {k: d * c for k, d in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
@@ -149,16 +137,14 @@ class TensorElement:
         if legs > MAX_LEGS:
             raise ValueError("tensor product exceeds %d legs" % MAX_LEGS)
         N = self.truncation
-        res = TensorElement(legs, N)
         out = {}
         for ka, da in self.terms.items():
             ga = _key_grade(ka)
             for kb, db in other.terms.items():
                 if ga + _key_grade(kb) > N:
-                    continue
+                    continue  # the constructor would drop it; skip outer
                 out[ka + kb] = da.outer(db)
-        res.terms = out
-        return res
+        return TensorElement(legs, N, out)
 
     # -- Hopf structure ----------------------------------------------------
 
@@ -173,7 +159,6 @@ class TensorElement:
         if not 1 <= slot <= self.legs:
             raise ValueError("slot out of range")
         i = slot - 1
-        res = TensorElement(self.legs + 1, self.truncation)
         out = {}
         for key, d in self.terms.items():
             a, b = key[i]
@@ -183,8 +168,7 @@ class TensorElement:
                     c = math.comb(a, pa) * math.comb(b, qb)
                     nk = key[:i] + ((pa, qb), (a - pa, b - qb)) + key[i + 1:]
                     out[nk] = dsplit if c == 1 else dsplit * c
-        res.terms = out
-        return res
+        return TensorElement(self.legs + 1, self.truncation, out)
 
     def counit_contract(self, slot=1):
         """Apply the counit to one leg (D, P, Q all map to 0)."""
@@ -193,16 +177,10 @@ class TensorElement:
         if not 1 <= slot <= self.legs:
             raise ValueError("slot out of range")
         i = slot - 1
-        res = TensorElement(self.legs - 1, self.truncation)
-        out = {}
-        for key, d in self.terms.items():
-            if key[i] != (0, 0):
-                continue
-            nd = d.drop_variable(slot)
-            if not nd.is_zero:
-                out[key[:i] + key[i + 1:]] = nd
-        res.terms = out
-        return res
+        return TensorElement(self.legs - 1, self.truncation,
+                             {key[:i] + key[i + 1:]: d.drop_variable(slot)
+                              for key, d in self.terms.items()
+                              if key[i] == (0, 0)})
 
     def counit_scalar(self):
         """Counit of a 1-leg element, as a polynomial in u."""
@@ -217,17 +195,12 @@ class TensorElement:
         """Undeformed antipode: S(P^a Q^b f(D)) = (-1)^(a+b) P^a Q^b f(-D+a+b)."""
         if self.legs != 1:
             raise ValueError("antipode acts on 1-leg elements")
-        res = TensorElement(1, self.truncation)
         out = {}
         for key, d in self.terms.items():
             a, b = key[0]
             nd = d.substitute_linear([-1], [a + b])
-            if (a + b) % 2:
-                nd = -nd
-            if not nd.is_zero:
-                out[key] = nd
-        res.terms = out
-        return res
+            out[key] = -nd if (a + b) % 2 else nd
+        return TensorElement(1, self.truncation, out)
 
     def fold_mul_antipode(self):
         """Sum f1 * S(f2): multiply the legs after S on the right one.
@@ -250,14 +223,9 @@ class TensorElement:
     # -- parameter handling ------------------------------------------------
 
     def specialize_u(self, u0):
-        res = TensorElement(self.legs, self.truncation)
-        out = {}
-        for key, d in self.terms.items():
-            nd = d.specialize_u(u0)
-            if not nd.is_zero:
-                out[key] = nd
-        res.terms = out
-        return res
+        return TensorElement(self.legs, self.truncation,
+                             {k: d.specialize_u(u0)
+                              for k, d in self.terms.items()})
 
     # -- comparison --------------------------------------------------------
 
@@ -306,10 +274,9 @@ def sum_of_products(pairs):
                     key = tuple((pa + pb, qa + qb)
                                 for (pa, qa), (pb, qb) in zip(ka, kb))
                     collected.setdefault(key, []).append((shifted, db))
-    res = TensorElement(first.legs, N)
-    res.terms = {key: d for key, products in collected.items()
-                 if not (d := DPoly.dot(first.legs, products)).is_zero}
-    return res
+    return TensorElement(first.legs, N,
+                         {key: DPoly.dot(first.legs, products)
+                          for key, products in collected.items()})
 
 
 def first_difference(a, b):
@@ -318,18 +285,11 @@ def first_difference(a, b):
     Returns a dict with the grade, momentum key, D-exponents and the two
     coefficient polynomials, suitable for failure reports.
     """
-    a._check_shape(b)
-    diffs = []
-    keys = set(a.terms) | set(b.terms)
-    for key in keys:
-        da = a.terms.get(key, DPoly(a.legs))
-        db = b.terms.get(key, DPoly(b.legs))
-        delta = da - db
-        for exps in delta.terms:
-            diffs.append((_key_grade(key), key, exps))
-    if not diffs:
+    delta = a - b
+    if delta.is_zero:
         return None
-    grade, key, exps = min(diffs)
+    grade, key, exps = min((_key_grade(k), k, exps)
+                           for k, d in delta.terms.items() for exps in d.terms)
     ca = a.terms.get(key, DPoly(a.legs)).terms.get(exps, UPoly())
     cb = b.terms.get(key, DPoly(b.legs)).terms.get(exps, UPoly())
     return {

@@ -79,7 +79,7 @@ class TestNormalMul:
             a = random_element(rng, 1, 5)
             b = random_element(rng, 1, 5)
             for n in range(6):
-                conv = TensorElement.zero(1, 5)
+                conv = TensorElement(1, 5)
                 for i in range(n + 1):
                     conv = conv + a.grade_slice(i) * b.grade_slice(n - i)
                 assert conv == (a * b).grade_slice(n)
@@ -124,10 +124,10 @@ class TestNormalMul:
         assert made == [(0, (-3,)), (0, (-2,)), (0, (-1,)), (3, (-1,))]
 
         high = TensorElement(1, N + 2, left) * TensorElement(1, N + 2, right)
-        truncated = TensorElement.zero(1, N + 2)
+        truncated = TensorElement(1, N + 2)
         for n in range(N + 1):
             truncated = truncated + high.grade_slice(n)
-        assert high.grade_slice(N + 1) != TensorElement.zero(1, N + 2)
+        assert high.grade_slice(N + 1) != TensorElement(1, N + 2)
         assert product.terms == truncated.terms
 
 
@@ -225,7 +225,7 @@ class TestSumOfProducts:
 
 class TestSeries:
     def test_exp_of_zero(self):
-        assert exp_series(TensorElement.zero(2, N)) == one(2)
+        assert exp_series(TensorElement(2, N)) == one(2)
 
     def test_geometric_inverse_contract(self):
         a = P().tensor(D()) - D().tensor(P())
@@ -373,7 +373,7 @@ class TestFoldAntipode:
 
         for _ in range(25):
             element = random_element(rng, 2, 3)
-            expected = TensorElement.zero(1, 3)
+            expected = TensorElement(1, 3)
             for ((a1, b1), (a2, b2)), d in element.terms.items():
                 for (e1, e2), c in d.terms.items():
                     m1, m2 = mono(a1, b1, e1, 3), mono(a2, b2, e2, 3)
@@ -395,7 +395,7 @@ class TestSlicesAndSpecialization:
     def test_slices_sum_to_element(self, rng):
         for _ in range(10):
             e = random_element(rng, 2, 4)
-            total = TensorElement.zero(2, 4)
+            total = TensorElement(2, 4)
             for n in range(5):
                 total = total + e.grade_slice(n)
             assert total == e
@@ -424,7 +424,7 @@ class TestEquality:
     def test_reflexive(self):
         F = _closed_F0(N)
         assert F == F
-        assert F + TensorElement.zero(2, N) == F
+        assert F + TensorElement(2, N) == F
 
     def test_first_difference_reports_lowest_grade(self):
         diff = first_difference(_closed_F0(1), _closed_F1(1))
@@ -434,9 +434,118 @@ class TestEquality:
     def test_no_difference(self):
         assert first_difference(_closed_F0(2), _closed_F0(2)) is None
 
+    def test_first_difference_matches_the_per_key_walk(self, rng):
+        u = UPoly.u()
+        reports = []
+        for i in range(40):
+            legs, n = rng.randint(1, 3), rng.randint(1, 4)
+            a = random_element(rng, legs, n)
+            if a.is_zero:
+                a = one(legs, n)
+            b = (random_element(rng, legs, n),
+                 a - a.grade_slice(min(_grade(k) for k in a.terms)),
+                 a.scale(1 + u),
+                 a)[i % 4]
+            for x, y in ((a, b), (b, a)):
+                got = first_difference(x, y)
+                assert got == walked_first_difference(x, y)
+                reports.append(got)
+        assert reports.count(None) == 20
+
+
+def _grade(key):
+    return sum(p for p, _ in key)
+
+
+def walked_first_difference(a, b):
+    """first_difference as a walk over every key either side holds,
+    subtracting the two coefficients key by key."""
+    diffs = []
+    for key in set(a.terms) | set(b.terms):
+        da = a.terms.get(key, DPoly(a.legs))
+        db = b.terms.get(key, DPoly(b.legs))
+        for exps in (da - db).terms:
+            diffs.append((_grade(key), key, exps))
+    if not diffs:
+        return None
+    grade, key, exps = min(diffs)
+    return {
+        "grade": grade,
+        "momenta": key,
+        "dilatation_exponents": exps,
+        "left": str(a.terms.get(key, DPoly(a.legs)).terms.get(exps, UPoly())),
+        "right": str(b.terms.get(key, DPoly(b.legs)).terms.get(exps, UPoly())),
+    }
+
+
+def _unit_plus_positive(e):
+    """1 plus the part of e of grade >= 1: an input of geometric_inverse."""
+    return one(e.legs, e.truncation) + e - e.grade_slice(0)
+
+
+U0 = Fraction(-3, 2)
+
+# name: (leg counts of its random inputs, the operation on two random
+# elements of one shape, inputs on which it cancels or lands above N)
+ONE_PATH = {
+    "+": ((1, 2, 3), lambda a, b: a + b,
+          lambda: [_closed_L(3) + (-_closed_L(3)),
+                   TensorElement(1, 2, {((3, 0),): 1, ((1, 0),): 1}) + P(2)]),
+    "-": ((1, 2, 3), lambda a, b: a - b,
+          lambda: [_closed_L(3) - _closed_L(3)]),
+    "scale": ((1, 2, 3),
+              lambda a, b: a.scale(UPoly({0: -1, 1: Fraction(2, 3)})),
+              lambda: [_closed_L(3).scale(0)]),
+    "*": ((1, 2, 3), lambda a, b: a * b,
+          # P Q - Q P: the key P Q cancels
+          lambda: [(P() + Q()) * (Q() - P())]),
+    "tensor": ((1,), lambda a, b: a.tensor(b),
+               lambda: [(P() * P() * P()).tensor(P() * P())]),
+    "coproduct": ((1, 2), lambda a, b: a.coproduct(a.legs), lambda: []),
+    "counit_contract": (
+        (2, 3), lambda a, b: a.counit_contract(1),
+        # the D-part x_1 vanishes when leg 1 is contracted
+        lambda: [TensorElement(2, N, {((0, 0), (1, 0)): DPoly.variable(2, 1)})
+                 .counit_contract(1)]),
+    "antipode": ((1,), lambda a, b: a.antipode(), lambda: []),
+    "fold_mul_antipode": ((2,), lambda a, b: a.fold_mul_antipode(),
+                          # m (1 x S) Delta(P) = counit(P) = 0
+                          lambda: [P().coproduct(1).fold_mul_antipode()]),
+    "specialize_u": (
+        (1, 2, 3), lambda a, b: a.specialize_u(U0),
+        # the coefficient (u - u0) x
+        lambda: [TensorElement(1, N, {((1, 0),): DPoly(1, {
+            (1,): UPoly({0: -U0, 1: 1})})}).specialize_u(U0)]),
+    "grade_slice": ((1, 2, 3), lambda a, b: a.grade_slice(1),
+                    lambda: [(_closed_L(3) - _closed_L(3)).grade_slice(1)]),
+    "sum_of_products": ((1, 2, 3),
+                        lambda a, b: sum_of_products([(a, b), (b, a)]),
+                        lambda: [sum_of_products([(P(), Q()), (-Q(), P())])]),
+    "geometric_inverse": (
+        (1, 2, 3), lambda a, b: geometric_inverse(_unit_plus_positive(a)),
+        # 1 - P + 0 P^2 + P^3 - ...: the grade-2 sum cancels
+        lambda: [geometric_inverse(one() + P() + P() * P())]),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_PATH))
+def test_every_operation_stores_no_zero_and_nothing_above_n(name, rng):
+    # each operation returns through the constructor, which alone drops
+    # zero coefficients and keys above the truncation
+    legs, op, cancelling = ONE_PATH[name]
+    results = cancelling()
+    for _ in range(20):
+        k, n = rng.choice(legs), rng.randint(1, 4)
+        results.append(op(random_element(rng, k, n),
+                          random_element(rng, k, n)))
+    for res in results:
+        assert not any(d.is_zero for d in res.terms.values())
+        assert all(_grade(k) <= res.truncation for k in res.terms)
+
 
 @pytest.mark.parametrize("key", [((1.5, 0),), ((0, 2.0),),
-                                 ((Fraction(1), 0),), ((-1, 0),)])
+                                 ((Fraction(1), 0),), ((-1, 0),),
+                                 ((1, 0, 0),)])
 def test_non_integer_or_negative_momentum_degree_rejected(key):
     # int() used to truncate 1.5 to 1 and let the term in
     with pytest.raises(ValueError, match="bad momentum key"):

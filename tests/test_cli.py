@@ -179,6 +179,19 @@ class TestVerify:
             ("lr-relation", None): ["family not applied"],
             ("lr-u1", None): ["family not applied", "u not applied"]}
 
+    def test_negative_u_needs_the_equals_form(self, capsys):
+        # argparse reads a separate "-3/2" as an option, not as the value
+        code, out = run(["verify", "--check", "forms", "--order", "1",
+                         "--u=-3/2"], capsys)
+        assert code == 0
+        assert "family=L order=1 u=-3/2" in out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--check", "forms", "--order", "1",
+                      "--u", "-3/2"])
+        assert exc.value.code == 2
+        assert "argument --u: expected one argument" in (
+            capsys.readouterr().err)
+
     def test_repeated_check_runs_once(self, capsys):
         code, out = run(["verify", "--check", "lr", "--check", "lr",
                          "--order", "1"], capsys)
@@ -392,7 +405,7 @@ class TestSerialization:
 
     def test_text_of_zero(self):
         from jortwist.borel import TensorElement
-        assert element_to_text(TensorElement.zero(1, 2)) == "0"
+        assert element_to_text(TensorElement(1, 2)) == "0"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
