@@ -49,7 +49,7 @@ class TensorElement:
                 # the key is kept, not copied: elements made from one
                 # another share their key tuples
                 if (len(key) != legs or not all(len(leg) == 2 for leg in key)
-                        or not all(isinstance(n, int) and n >= 0
+                        or not all(type(n) is int and n >= 0
                                    for leg in key for n in leg)):
                     raise ValueError("bad momentum key %r" % (key,))
                 if _key_grade(key) > truncation:
@@ -182,15 +182,6 @@ class TensorElement:
                               for key, d in self.terms.items()
                               if key[i] == (0, 0)})
 
-    def counit_scalar(self):
-        """Counit of a 1-leg element, as a polynomial in u."""
-        if self.legs != 1:
-            raise ValueError("counit_scalar needs a 1-leg element")
-        d = self.terms.get(((0, 0),))
-        if d is None:
-            return UPoly()
-        return d.terms.get((0,), UPoly())
-
     def antipode(self):
         """Undeformed antipode: S(P^a Q^b f(D)) = (-1)^(a+b) P^a Q^b f(-D+a+b)."""
         if self.legs != 1:
@@ -235,9 +226,6 @@ class TensorElement:
         return (self.legs == other.legs
                 and self.truncation == other.truncation
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        raise TypeError("TensorElement is not hashable")
 
     def __repr__(self):
         return ("TensorElement(legs=%d, N=%d, %d terms)"

@@ -30,12 +30,6 @@ def _usym(u):
     return UPoly.u() if u is None else Fraction(u)
 
 
-def _ufactor(u, k, l):
-    """(u-1)^k u^l as a coefficient."""
-    uu = _usym(u)
-    return (uu - 1) ** k * uu ** l
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -58,6 +52,21 @@ def _closed_F1(N, inverse=False):
     return TensorElement(2, N, terms)
 
 
+def _interpolating(N, u, coefficient):
+    """The closed double sum both families share: over k + l <= N, the key
+    P^k (x) P^l carries coefficient(x, y, k, l) (u-1)^k u^l, with x and y
+    the D of the first and the second leg."""
+    x = DPoly.variable(2, 1)
+    y = DPoly.variable(2, 2)
+    uu = _usym(u)
+    terms = {}
+    for k in range(N + 1):
+        for l in range(N + 1 - k):
+            terms[((k, 0), (l, 0))] = (coefficient(x, y, k, l)
+                                       * ((uu - 1) ** k * uu ** l))
+    return TensorElement(2, N, terms)
+
+
 def _closed_L(N, u=None):
     """Closed form of the left family:
 
@@ -65,14 +74,8 @@ def _closed_L(N, u=None):
 
     normal-ordered leg by leg via f(D) P^m = P^m f(D - m).
     """
-    x = DPoly.variable(2, 1)
-    y = DPoly.variable(2, 2)
-    terms = {}
-    for k in range(N + 1):
-        for l in range(N + 1 - k):
-            d = binom_poly(-x + k, l) * binom_poly(-y + l, k)
-            terms[((k, 0), (l, 0))] = d * _ufactor(u, k, l)
-    return TensorElement(2, N, terms)
+    return _interpolating(N, u, lambda x, y, k, l:
+                          binom_poly(-x + k, l) * binom_poly(-y + l, k))
 
 
 def _closed_R_inverse(N, u=None):
@@ -80,59 +83,36 @@ def _closed_R_inverse(N, u=None):
 
     sum_{k,l} (u-1)^k (P/kappa)^k binom(D, l) (x) (uP/kappa)^l binom(D, k).
     """
-    x = DPoly.variable(2, 1)
-    y = DPoly.variable(2, 2)
-    terms = {}
-    for k in range(N + 1):
-        for l in range(N + 1 - k):
-            d = binom_poly(x, l) * binom_poly(y, k)
-            terms[((k, 0), (l, 0))] = d * _ufactor(u, k, l)
-    return TensorElement(2, N, terms)
+    return _interpolating(N, u, lambda x, y, k, l:
+                          binom_poly(x, l) * binom_poly(y, k))
 
 
 # ---------------------------------------------------------------------------
 # product forms
 # ---------------------------------------------------------------------------
 
-def _cochain(N, c):
-    """P (D + c), one unit of grade: DP = P (D - 1) at c = -1, PD at c = 0."""
-    return TensorElement(1, N, {((1, 0),): DPoly(1, {(1,): 1, (0,): c})})
+def _product_family(c, N, u=None, inverse=False):
+    """Three-exponential product form with the 1-cochain h = P(D + c):
 
+    exp(u (h (x) 1 + 1 (x) h)) exp(-ln(1 - P/kappa) (x) D) exp(-u Delta h),
 
-def _product_family(cochain, N, u=None, inverse=False):
-    """Three-exponential product form with 1-cochain exponent `cochain`:
-
-    exp(u (c (x) 1 + 1 (x) c)) exp(-ln(1 - P/kappa) (x) D) exp(-u Delta c),
-
-    and for the inverse the same exponents reversed and negated.  c is the
-    grade-1 1-leg element whose u-multiple is exponentiated (P(D-1) for the
-    left family, PD for the right one).
+    and for the inverse the same exponents reversed and negated.  c = -1
+    gives the left family (h = DP = P(D - 1)), c = 0 the right one (PD),
+    and c = v - 1 the v-family's DP + vP.
     """
     uu = _usym(u)
     one1 = TensorElement.one(1, N)
+    h = TensorElement(1, N, {((1, 0),): DPoly(1, {(1,): 1, (0,): c})})
     exponents = [
-        (cochain.tensor(one1) + one1.tensor(cochain)).scale(uu),
+        (h.tensor(one1) + one1.tensor(h)).scale(uu),
         -log1p_series(-TensorElement.momentum_p(N)).tensor(
             TensorElement.dilatation(N)),
-        cochain.coproduct(1).scale(-uu),
+        h.coproduct(1).scale(-uu),
     ]
     if inverse:
         exponents = [-a for a in reversed(exponents)]
     f1, f2, f3 = (exp_series(a) for a in exponents)
     return f1 * f2 * f3
-
-
-def _product_L(N, u=None, inverse=False):
-    return _product_family(_cochain(N, -1), N, u, inverse)
-
-
-def _product_R(N, u=None, inverse=False):
-    return _product_family(_cochain(N, 0), N, u, inverse)
-
-
-def build_vfamily(v, N):
-    """Product form with cochain exponent DP + vP = P(D - 1 + v), at u = 1."""
-    return _product_family(_cochain(N, Fraction(v) - 1), N, u=1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +129,15 @@ _BUILDERS = {
     ("0", "inverse", "closed"): lambda N, u: _closed_F0(N, inverse=True),
     ("1", "twist", "closed"): lambda N, u: _closed_F1(N),
     ("1", "inverse", "closed"): lambda N, u: _closed_F1(N, inverse=True),
-    ("L", "twist", "product"): lambda N, u: _product_L(N, u),
-    ("L", "inverse", "product"): lambda N, u: _product_L(N, u, inverse=True),
+    ("L", "twist", "product"): lambda N, u: _product_family(-1, N, u),
+    ("L", "inverse", "product"):
+        lambda N, u: _product_family(-1, N, u, inverse=True),
     ("L", "twist", "closed"): lambda N, u: _closed_L(N, u),
     ("L", "inverse", "inverted-closed"):
         lambda N, u: geometric_inverse(_closed_L(N, u)),
-    ("R", "twist", "product"): lambda N, u: _product_R(N, u),
-    ("R", "inverse", "product"): lambda N, u: _product_R(N, u, inverse=True),
+    ("R", "twist", "product"): lambda N, u: _product_family(0, N, u),
+    ("R", "inverse", "product"):
+        lambda N, u: _product_family(0, N, u, inverse=True),
     ("R", "inverse", "closed"): lambda N, u: _closed_R_inverse(N, u),
     ("R", "twist", "inverted-closed"):
         lambda N, u: geometric_inverse(_closed_R_inverse(N, u)),
@@ -264,22 +246,21 @@ def _compare(check, params, lhs, rhs, notes=None):
                               failure, list(notes or []))
 
 
-def _params(family=None, N=None, u=None, **extra):
+def _params(family, N, u=None, **extra):
     p = dict(extra)
     if family is not None:
         p["family"] = family
-    if N is not None:
-        p["order"] = N
+    p["order"] = N
     p["u"] = "symbolic" if u is None else str(Fraction(u))
     return p
 
 
-def check_normalization(family, N, u=None, element=None):
-    """(eps (x) id) F = 1 = (id (x) eps) F on the transcribed series, or on
-    `element`; the counits are algebra maps, so F^-1 (via_inverse) passes
-    exactly when F does."""
+def check_normalization(family, N, u=None):
+    """(eps (x) id) F = 1 = (id (x) eps) F on the transcribed series; the
+    counits are algebra maps, so F^-1 (via_inverse) passes exactly when F
+    does."""
     direction = _transcribed(family)
-    F = build_twist(family, direction, N, u) if element is None else element
+    F = build_twist(family, direction, N, u)
     one1 = TensorElement.one(1, N)
     reps = [
         _compare("normalization", {}, F.counit_contract(1), one1),
@@ -289,17 +270,17 @@ def check_normalization(family, N, u=None, element=None):
         family, N, u, via_inverse=direction == "inverse"), reps)
 
 
-def check_cocycle(family, N, u=None, element=None):
+def check_cocycle(family, N, u=None):
     """(F (x) 1)(Delta (x) id)F = (1 (x) F)(id (x) Delta)F, grade by grade.
 
-    The condition is checked on the family's transcribed series (`element`,
-    if given, stands in for it).  Where that is the inverse G = F^-1, the
-    equivalent condition (Delta (x) id)G (G (x) 1) = (id (x) Delta)G (1 (x) G)
-    is checked instead, and the report's param via_inverse says so.
+    The condition is checked on the family's transcribed series.  Where
+    that is the inverse G = F^-1, the equivalent condition
+    (Delta (x) id)G (G (x) 1) = (id (x) Delta)G (1 (x) G) is checked
+    instead, and the report's param via_inverse says so.
     """
     direction = _transcribed(family)
     via_inverse = direction == "inverse"
-    F = build_twist(family, direction, N, u) if element is None else element
+    F = build_twist(family, direction, N, u)
     one1 = TensorElement.one(1, N)
     notes = []
     if via_inverse:  # F holds G = F^-1
@@ -417,7 +398,7 @@ def check_LR_u1(N):
 def check_v_family(v, N):
     """Every cochain exponent DP + vP reproduces F1 at u = 1."""
     return _compare("v-family", _params(None, N, Fraction(1), v=Fraction(v)),
-                    build_vfamily(v, N), _closed_F1(N))
+                    _product_family(Fraction(v) - 1, N, 1), _closed_F1(N))
 
 
 # ---------------------------------------------------------------------------

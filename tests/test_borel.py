@@ -354,7 +354,7 @@ class TestFoldAntipode:
         # m (id (x) S) Delta = eta eps
         for _ in range(25):
             e = random_element(rng, 1, 3)
-            expected = one(1, 3).scale(e.counit_scalar())
+            expected = e.tensor(one(1, 3)).counit_contract(1)
             assert e.coproduct(1).fold_mul_antipode() == expected
 
     def test_twisted_antipode_of_jordanian_twist(self):
@@ -545,8 +545,9 @@ def test_every_operation_stores_no_zero_and_nothing_above_n(name, rng):
 
 @pytest.mark.parametrize("key", [((1.5, 0),), ((0, 2.0),),
                                  ((Fraction(1), 0),), ((-1, 0),),
-                                 ((1, 0, 0),)])
+                                 ((1, 0, 0),), ((True, 0),)])
 def test_non_integer_or_negative_momentum_degree_rejected(key):
-    # int() used to truncate 1.5 to 1 and let the term in
+    # int() used to truncate 1.5 to 1 and let the term in; a bool is an
+    # int subclass, so isinstance let True in as the degree 1
     with pytest.raises(ValueError, match="bad momentum key"):
         TensorElement(1, 3, {key: 1})

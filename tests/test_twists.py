@@ -104,13 +104,16 @@ class TestNormalization:
     def test_interpolating_family(self):
         assert check_normalization("L", 4).passed
 
-    def test_unit(self):
-        rep = check_normalization("L", 2, element=one(2, 2))
+    def test_unit(self, monkeypatch):
+        monkeypatch.setattr(twists, "_closed_L", lambda N, u=None: one(2, N))
+        rep = check_normalization("L", 2)
         assert rep.passed
 
-    def test_corrupted_twist_fails(self):
-        bad = build_twist("0", "twist", 2) + P(2).tensor(one(1, 2))
-        rep = check_normalization("0", 2, element=bad)
+    def test_corrupted_twist_fails(self, monkeypatch):
+        closed = twists._closed_F0
+        monkeypatch.setattr(twists, "_closed_F0", lambda N, inverse=False:
+                            closed(N, inverse) + P(N).tensor(one(1, N)))
+        rep = check_normalization("0", 2)
         assert not rep.passed
 
     def test_counits_read_the_transcribed_series(self, monkeypatch):
@@ -153,23 +156,28 @@ class TestCocycle:
         assert rep.passed and rep.params["via_inverse"] is True
         assert check_cocycle("L", 3).params["via_inverse"] is False
 
-    def test_corrupted_grade_two_fails_at_grade_two(self):
-        F = build_twist("L", "twist", 2)
-        bad = mutate_coefficient(F, ((1, 0), (1, 0)), (1, 0), 1)
-        rep = check_cocycle("L", 2, element=bad)
+    def test_corrupted_grade_two_fails_at_grade_two(self, monkeypatch):
+        closed = twists._closed_L
+        monkeypatch.setattr(twists, "_closed_L", lambda N, u=None:
+                            mutate_coefficient(closed(N, u),
+                                               ((1, 0), (1, 0)), (1, 0), 1))
+        rep = check_cocycle("L", 2)
         assert not rep.passed
         assert rep.grades[0] and rep.grades[1]
         assert not rep.grades[2]
         assert rep.failure["grade"] == 2
 
-    def test_symmetric_momentum_corruption_surfaces_at_grade_three(self):
+    def test_symmetric_momentum_corruption_surfaces_at_grade_three(
+            self, monkeypatch):
         # a constant times P (x) P is itself a 2-cocycle to leading order
         # (the same structure as the factor relating the two families), so
         # corrupting that one coefficient is invisible at grade 2 and is
         # caught one grade later
-        F = build_twist("L", "twist", 3)
-        bad = mutate_coefficient(F, ((1, 0), (1, 0)), (0, 0), 1)
-        rep = check_cocycle("L", 3, element=bad)
+        closed = twists._closed_L
+        monkeypatch.setattr(twists, "_closed_L", lambda N, u=None:
+                            mutate_coefficient(closed(N, u),
+                                               ((1, 0), (1, 0)), (0, 0), 1))
+        rep = check_cocycle("L", 3)
         assert not rep.passed
         assert rep.grades[2]
         assert rep.failure["grade"] == 3
@@ -183,6 +191,24 @@ class TestEndpoints:
 
     def test_families_coincide_at_u_one(self):
         assert check_LR_u1(5).passed
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_endpoints("L", 4), lambda: check_endpoints("R", 4),
+        lambda: check_v_family(0, 4)], ids=["endpoints-L", "endpoints-R",
+                                            "vfamily"])
+    def test_bumped_f1_fails_at_grade_two(self, monkeypatch, check):
+        # F1 (its inverse left as built) shifted by the constant 1 (x) P^2:
+        # both checks compare against F1, so they first differ at grade 2
+        closed = twists._closed_F1
+        monkeypatch.setattr(twists, "_closed_F1", lambda N, inverse=False:
+                            closed(N, True) if inverse else
+                            mutate_coefficient(closed(N), ((0, 0), (2, 0)),
+                                               (0, 0), 1))
+        rep = check()
+        assert not rep.passed
+        assert min(n for n, ok in rep.grades.items() if not ok) == 2
+        assert rep.failure["grade"] == 2
+        assert rep.failure["momenta"] == ((0, 0), (2, 0))
 
 
 class TestFormEquality:
@@ -346,6 +372,17 @@ class TestRelations:
         assert (build_twist("R", "inverse", 4, 0)
                 == build_twist("L", "inverse", 4, 0))
         assert lr_factor(4, 0) == one(2, 4)
+
+    def test_bumped_lr_factor_fails_from_grade_two(self, monkeypatch):
+        # F_L^-1 has grade-0 part 1, so a constant added to the factor at
+        # P (x) P changes F_L^-1 times the factor from grade 2 upwards
+        factor = twists.lr_factor
+        monkeypatch.setattr(twists, "lr_factor", lambda N, u=None:
+                            mutate_coefficient(factor(N, u), ((1, 0), (1, 0)),
+                                               (0, 0), 1))
+        rep = check_LR_relation(4)
+        assert rep.grades == {0: True, 1: True, 2: False, 3: False, 4: False}
+        assert rep.failure["grade"] == 2
 
     def test_lr_relation_symbolic(self):
         assert check_LR_relation(4).passed
