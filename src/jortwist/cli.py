@@ -381,8 +381,12 @@ COMMANDS = {
 def main(argv=None):
     """Run the command argv[0].  The parser gets only that command's
     arguments; without a command (e.g. `--help`) every command gets its
-    arguments."""
+    arguments.  `--u V` is read as `--u=V`, so V may be a negative
+    rational."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    while "--u" in argv[:-1]:  # argparse reads a separate "-3/2" as an option
+        i = argv.index("--u")
+        argv[i:i + 2] = ["--u=" + argv[i + 1]]
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = _build_parser(command).parse_args(argv)
     return args.run(args, args.parser)

@@ -6,7 +6,6 @@ lines.  Every equality below is exact; the stated time budgets are asserted.
 
 import random
 import time
-from fractions import Fraction
 
 from jortwist import twists
 from jortwist.borel import TensorElement
@@ -88,10 +87,11 @@ def test_criterion_06_lr_relation_order6():
 
 def test_criterion_07_v_family_order5():
     start = time.monotonic()
-    ok = all(check_v_family(v, 5).passed
-             for v in (-2, -1, 0, Fraction(1, 2), 3))
+    rep = check_v_family(5)
+    ok = rep.passed and rep.params["v"] == "symbolic"
     elapsed = time.monotonic() - start
-    _announce(7, "v-parameter cochains all reproduce F1 at N=5", ok, elapsed)
+    _announce(7, "v-parameter cochains reproduce F1 for every v at N=5", ok,
+              elapsed)
 
 
 def test_criterion_08_identity_suites():

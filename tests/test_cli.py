@@ -179,18 +179,17 @@ class TestVerify:
             ("lr-relation", None): ["family not applied"],
             ("lr-u1", None): ["family not applied", "u not applied"]}
 
-    def test_negative_u_needs_the_equals_form(self, capsys):
-        # argparse reads a separate "-3/2" as an option, not as the value
-        code, out = run(["verify", "--check", "forms", "--order", "1",
-                         "--u=-3/2"], capsys)
-        assert code == 0
-        assert "family=L order=1 u=-3/2" in out
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--check", "forms", "--order", "1",
-                      "--u", "-3/2"])
-        assert exc.value.code == 2
-        assert "argument --u: expected one argument" in (
-            capsys.readouterr().err)
+    def test_negative_u_in_either_form(self, capsys):
+        # argparse alone would read a separate "-3/2" as an option
+        for u in (["--u=-3/2"], ["--u", "-3/2"]):
+            code, out = run(["verify", "--check", "forms", "--order", "1"]
+                            + u, capsys)
+            assert code == 0
+            assert "family=L order=1 u=-3/2" in out
+        expanded = [run(["expand", "--family", "L", "--order", "1"] + u,
+                        capsys) for u in (["--u=-3/2"], ["--u", "-3/2"])]
+        assert expanded[0] == expanded[1] == (
+            0, "1 · 1⊗1\n3/2/κ · D⊗P\n5/2/κ · P⊗D\n")
 
     def test_repeated_check_runs_once(self, capsys):
         code, out = run(["verify", "--check", "lr", "--check", "lr",

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from jortwist.exactalg import DPoly, UPoly, binom_poly
-from jortwist.borel import (TensorElement, conjugate, first_difference,
-                            geometric_inverse)
+from jortwist.borel import (TensorElement, conjugate, exp_series,
+                            first_difference, geometric_inverse,
+                            log1p_series)
 from jortwist import twists
 from jortwist.twists import (build_twist, check_cocycle, check_endpoints,
                              check_form_equality, check_hopf_data,
@@ -105,9 +106,12 @@ class TestNormalization:
         assert check_normalization("L", 4).passed
 
     def test_unit(self, monkeypatch):
-        monkeypatch.setattr(twists, "_closed_L", lambda N, u=None: one(2, N))
+        calls = []
+        monkeypatch.setattr(twists, "_closed_L", lambda N, u=None:
+                            calls.append(N) or one(2, N))
         rep = check_normalization("L", 2)
         assert rep.passed
+        assert calls == [2]
 
     def test_corrupted_twist_fails(self, monkeypatch):
         closed = twists._closed_F0
@@ -194,8 +198,8 @@ class TestEndpoints:
 
     @pytest.mark.parametrize("check", [
         lambda: check_endpoints("L", 4), lambda: check_endpoints("R", 4),
-        lambda: check_v_family(0, 4)], ids=["endpoints-L", "endpoints-R",
-                                            "vfamily"])
+        lambda: check_v_family(4)], ids=["endpoints-L", "endpoints-R",
+                                         "vfamily"])
     def test_bumped_f1_fails_at_grade_two(self, monkeypatch, check):
         # F1 (its inverse left as built) shifted by the constant 1 (x) P^2:
         # both checks compare against F1, so they first differ at grade 2
@@ -325,6 +329,26 @@ class TestHopfData:
         assert rep.failure["dilatation_exponents"] == exps
         assert all(r.passed for r in reports.values())
 
+    @pytest.mark.parametrize("family", ["L", "R"])
+    @pytest.mark.parametrize("generator, grade", [("P", 1), ("Q", 0),
+                                                  ("D", 0)])
+    def test_negated_antipode_target_fails(self, monkeypatch, family,
+                                           generator, grade):
+        # the sign of each printed antipode is declared, not searched for,
+        # so a target of the wrong sign fails at its lowest grade
+        printed = twists.target_antipode
+
+        def negated(fam, gen, N, u=None):
+            res = printed(fam, gen, N, u)
+            return -res if gen == generator else res
+
+        monkeypatch.setattr(twists, "target_antipode", negated)
+        reports = dict(zip("PQD", check_hopf_data(family, 3)))
+        rep = reports.pop(generator)
+        assert not rep.passed
+        assert rep.failure["grade"] == grade
+        assert all(r.passed for r in reports.values())
+
     def test_momentum_antipode_sign_is_resolved(self):
         # the two families must share the same antipode on momenta; the
         # computed sign is negative, so the printed left-family formula
@@ -393,16 +417,69 @@ class TestRelations:
         assert check_cocycle("R", 4, u_half).passed
 
 
+def three_exponentials(c, N, u=None, inverse=False):
+    """Oracle: the product form as three exponentials of 2-leg exponents,
+
+    exp(u (h (x) 1 + 1 (x) h)) exp(-ln(1 - P/kappa) (x) D) exp(-u Delta h),
+
+    with h = P(D + c), and for the inverse the exponents reversed and
+    negated; it builds neither chi nor a 1-leg exponential."""
+    uu = U if u is None else Fraction(u)
+    h = TensorElement(1, N, {((1, 0),): DPoly(1, {(1,): 1, (0,): c})})
+    exponents = [(h.tensor(one(1, N)) + one(1, N).tensor(h)).scale(uu),
+                 -log1p_series(-P(N)).tensor(D(N)),
+                 h.coproduct(1).scale(-uu)]
+    if inverse:
+        exponents = [-a for a in reversed(exponents)]
+    f1, f2, f3 = (exp_series(a) for a in exponents)
+    return f1 * f2 * f3
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["twist", "inverse"])
+@pytest.mark.parametrize("c, u", [(-1, None), (0, None), (U - 1, 1)],
+                         ids=["L", "R", "v"])
+def test_product_family_is_the_three_exponentials(c, u, inverse):
+    for N in range(7):
+        assert twists._product_family(c, N, u, inverse) == three_exponentials(
+            c, N, u, inverse)
+
+
 class TestVFamily:
     def test_zero_cochain_shift(self):
         # v = 0 is the left family at u = 1
-        assert check_v_family(0, 4).passed
+        rep = check_v_family(4)
+        assert rep.passed
+        assert rep.params == {"order": 4, "u": "1", "v": "symbolic"}
+        assert rep.notes == ["u in a coefficient stands for v"]
+        assert (twists._product_family(U - 1, 4, 1).specialize_u(0)
+                == build_twist("L", "twist", 4, 1, "product"))
 
     def test_trivial_order(self):
-        assert check_v_family(1, 0).passed
+        assert check_v_family(0).passed
 
     def test_negative_shift(self):
-        assert check_v_family(-2, 4).passed
+        # v = -2 is the cochain DP - 2P, c = -3
+        assert (twists._product_family(U - 1, 4, 1).specialize_u(-2)
+                == twists._product_family(-3, 4, 1) == twists._closed_F1(4))
+
+    def test_bump_vanishing_at_the_samples_fails_at_grade_two(
+            self, monkeypatch):
+        # v(v+2)(2v-1) (1 (x) P^2) is zero at v = -2, 0 and 1/2, so the
+        # bumped element equals F1 at each of these v; only a comparison
+        # for every v sees it
+        product = twists._product_family
+        bump = U * (U + 2) * (2 * U - 1)
+        monkeypatch.setattr(twists, "_product_family", lambda *args:
+                            mutate_coefficient(product(*args),
+                                               ((0, 0), (2, 0)), (0, 0), bump))
+        rep = check_v_family(4)
+        assert not rep.passed
+        assert rep.grades == {0: True, 1: True, 2: False, 3: True, 4: True}
+        assert rep.failure["grade"] == 2
+        assert rep.failure["momenta"] == ((0, 0), (2, 0))
+        bumped = twists._product_family(U - 1, 4, 1)
+        for v in (-2, 0, Fraction(1, 2)):
+            assert bumped.specialize_u(v) == twists._closed_F1(4)
 
 
 class TestSpecializeCommutes:
