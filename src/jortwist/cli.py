@@ -242,7 +242,7 @@ def _verify_arguments(p):
     p.add_argument("--all", action="store_true", dest="run_all")
     p.add_argument("--check", action="append", dest="checks",
                    choices=tuple(twists.CHECKS))
-    p.add_argument("--family", choices=("L", "R"))
+    p.add_argument("--family", choices=tuple(twists.INTERPOLATING))
     p.add_argument("--order", type=_verify_order)
     p.add_argument("--u", type=_parse_u, default=None)
 
@@ -322,7 +322,7 @@ def _emit_reports(reports, args):
 # ---------------------------------------------------------------------------
 
 def _cmd_expand(args, parser):
-    if args.u is not None and args.family in ("0", "1"):
+    if args.u is not None and args.family in twists.ENDPOINTS:
         parser.error("--u applies to families L and R only; family %s has "
                      "no u" % args.family)
     try:

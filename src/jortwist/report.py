@@ -35,15 +35,15 @@ class VerificationReport:
 
 
 def merge_reports(check, params, reports, notes=None):
-    """Combine sub-comparisons of one logical check into a single report."""
+    """Combine sub-comparisons of one logical check into a single report,
+    whose failure is the lowest-grade one (the first, on a tie)."""
     grades = {}
-    failure = None
     all_notes = list(notes or [])
     for rep in reports:
         for n, ok in rep.grades.items():
             grades[n] = grades.get(n, True) and ok
-        if failure is None:
-            failure = rep.failure
         all_notes.extend(rep.notes)
+    failure = min((r.failure for r in reports if r.failure),
+                  key=lambda f: f["grade"], default=None)
     passed = all(r.passed for r in reports)
     return VerificationReport(check, params, passed, grades, failure, all_notes)

@@ -176,8 +176,7 @@ class TestVerify:
                  for r in json.loads(out)["reports"]}
         assert notes == {
             ("cocycle", "L"): ["per-order convolution decomposition matches"],
-            ("lr-relation", None): ["family not applied"],
-            ("lr-u1", None): ["family not applied", "u not applied"]}
+            ("lr-relation", None): ["family not applied"]}
 
     def test_negative_u_in_either_form(self, capsys):
         # argparse alone would read a separate "-3/2" as an option
@@ -196,7 +195,7 @@ class TestVerify:
                          "--order", "1"], capsys)
         assert code == 0
         assert [line.split()[0] for line in out.splitlines()] == [
-            "lr-relation", "lr-u1"]
+            "lr-relation"]
 
     def test_requires_selection(self, capsys):
         with pytest.raises(SystemExit) as exc:

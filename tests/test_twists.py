@@ -10,10 +10,9 @@ from jortwist.borel import (TensorElement, conjugate, exp_series,
 from jortwist import twists
 from jortwist.twists import (build_twist, check_cocycle, check_endpoints,
                              check_form_equality, check_hopf_data,
-                             check_LR_relation, check_LR_u1,
-                             check_normalization, check_v_family,
-                             lr_factor, mutate_coefficient, run_suite,
-                             target_antipode, target_coproduct)
+                             check_LR_relation, check_normalization,
+                             check_v_family, lr_factor, mutate_coefficient,
+                             run_suite, target_antipode, target_coproduct)
 
 from conftest import random_element
 
@@ -75,6 +74,14 @@ class TestBuildTwist:
             build_twist("R", "twist", 2, form="closed")
         with pytest.raises(ValueError):
             build_twist("X", "twist", 2)
+
+    def test_unknown_direction_raises(self):
+        # the product form reads the direction as an inverse flag, so an
+        # unknown direction must be refused before any form is built
+        for family in twists.FAMILIES:
+            for form in (None,) + twists.FORMS:
+                with pytest.raises(ValueError, match="unknown"):
+                    build_twist(family, "inverses", 1, form=form)
 
 
 class TestTargets:
@@ -144,6 +151,20 @@ class TestNormalization:
         assert rep.grades == {0: True, 1: True, 2: False, 3: True}
         assert rep.failure["grade"] == 2
 
+    def test_merged_failure_is_the_lowest_grade(self, monkeypatch):
+        # eps (x) id, compared first, keeps the bump 1 (x) P^2 at grade 2;
+        # id (x) eps keeps P (x) 1 at grade 1, the lower one
+        closed = twists._closed_L
+
+        def bumped(N, u=None):
+            F = mutate_coefficient(closed(N, u), ((1, 0), (0, 0)), (0, 0), 1)
+            return mutate_coefficient(F, ((0, 0), (2, 0)), (0, 0), 1)
+
+        monkeypatch.setattr(twists, "_closed_L", bumped)
+        rep = check_normalization("L", 3)
+        assert rep.grades == {0: True, 1: False, 2: False, 3: True}
+        assert rep.failure["grade"] == 1
+
 
 class TestCocycle:
     def test_jordanian_twist(self):
@@ -186,6 +207,21 @@ class TestCocycle:
         assert rep.grades[2]
         assert rep.failure["grade"] == 3
 
+    @pytest.mark.parametrize("key, grade", [(((1, 0), (1, 0)), 3),
+                                            (((0, 0), (2, 0)), 2)],
+                             ids=["P-P", "1-P2"])
+    def test_bumped_right_series_fails_at_its_grade(self, monkeypatch, key,
+                                                    grade):
+        # the inverse form of the condition: a constant times P (x) P is
+        # again caught one grade late, 1 (x) P^2 at its own grade
+        closed = twists._closed_R_inverse
+        monkeypatch.setattr(twists, "_closed_R_inverse", lambda N, u=None:
+                            mutate_coefficient(closed(N, u), key, (0, 0), 1))
+        rep = check_cocycle("R", 4)
+        assert not rep.passed
+        assert min(n for n, ok in rep.grades.items() if not ok) == grade
+        assert rep.failure["grade"] == grade
+
 
 class TestEndpoints:
     @pytest.mark.parametrize("family", ["L", "R"])
@@ -194,7 +230,10 @@ class TestEndpoints:
         assert rep.passed
 
     def test_families_coincide_at_u_one(self):
-        assert check_LR_u1(5).passed
+        # at u = 1 the lr factor is 1 (x) 1, as lr-relation proves at
+        # symbolic u; here the two twists are built and compared directly
+        assert (build_twist("L", "twist", 5, 1)
+                == build_twist("R", "twist", 5, 1))
 
     @pytest.mark.parametrize("check", [
         lambda: check_endpoints("L", 4), lambda: check_endpoints("R", 4),
@@ -356,7 +395,8 @@ class TestHopfData:
         rep_l = check_hopf_data("L", 3)[1]
         rep_r = check_hopf_data("R", 3)[1]
         assert rep_l.params["generator"] == rep_r.params["generator"] == "Q"
-        assert any("MINUS" in n for n in rep_l.notes)
+        assert ("printed sign erratum (ANTIPODE_ERRATA): target compared "
+                "negated") in rep_l.notes
         assert any("matches the printed" in n for n in rep_r.notes)
 
     def test_deformed_counit(self):
@@ -556,12 +596,6 @@ def test_declared_options_are_the_applied_ones(name):
         assert ("u not applied" in rep.notes) != (rep.params["u"] == "1/2")
         assert ("family not applied" in rep.notes) != (
             rep.params.get("family") == "L")
-
-
-def test_lr_u1_at_the_given_u_has_no_note():
-    # lr-u1 always runs at u=1, so a given u=1 is the one it applies
-    reports = run_suite(checks=["lr"], order=1, u=1)
-    assert [r.notes for r in reports] == [[], []]
 
 
 def test_compare_walks_the_differing_terms():
