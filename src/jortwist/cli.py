@@ -235,7 +235,8 @@ def _expand_arguments(p):
     p.add_argument("--order", type=_nonneg_int, required=True)
     p.add_argument("--u", type=_parse_u, default=None,
                    help="'symbolic' (default) or a rational like 1/2; "
-                        "families L and R only")
+                        "families %s only"
+                        % " and ".join(twists.INTERPOLATING))
 
 
 def _verify_arguments(p):
@@ -323,8 +324,8 @@ def _emit_reports(reports, args):
 
 def _cmd_expand(args, parser):
     if args.u is not None and args.family in twists.ENDPOINTS:
-        parser.error("--u applies to families L and R only; family %s has "
-                     "no u" % args.family)
+        parser.error("--u applies to families %s only; family %s has no u"
+                     % (" and ".join(twists.INTERPOLATING), args.family))
     try:
         element = twists.build_twist(
             args.family, "inverse" if args.inverse else "twist", args.order,

@@ -4,16 +4,15 @@ variables x, y, z.
 
 All coefficients are exact rationals; there is no floating point anywhere
 in this package.  A DPoly keeps integer numerators over one denominator,
-so its operations sum plain integers and reduce each result by one gcd;
-Fractions appear only at the edges (UPoly scalars, evaluation, output).
+so its operations sum plain integers and reduce each result by at most one
+gcd; Fractions appear only at the edges (UPoly scalars, evaluation,
+output).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from itertools import chain, repeat
 
 MAX_LEGS = 3
 VAR_NAMES = ("x", "y", "z")
@@ -48,7 +47,7 @@ class UPoly:
         cleaned = {}
         if coeffs:
             for deg, c in coeffs.items():
-                if not isinstance(deg, int) or deg < 0:
+                if type(deg) is not int or deg < 0:
                     raise ValueError("bad degree %r in UPoly" % (deg,))
                 c = _as_fraction(c)
                 if c:
@@ -199,7 +198,7 @@ class DPoly:
             for exps, c in terms.items():
                 exps = tuple(exps)
                 if len(exps) != legs or not all(
-                        isinstance(e, int) and 0 <= e < _TOP for e in exps):
+                        type(e) is int and 0 <= e < _TOP for e in exps):
                     raise ValueError("bad exponent vector %r" % (exps,))
                 key = sum(e << _W * i for i, e in enumerate(exps, 1))
                 for deg, v in UPoly.coerce(c).coeffs.items():
@@ -356,46 +355,40 @@ class DPoly:
         return DPoly.from_num(legs, _unguarded(acc), den)
 
     def substitute_linear(self, scales, offsets):
-        """Replace each variable x_i by scales[i]*x_i + offsets[i].
+        """Replace each variable x_i by scales[i]*x_i + offsets[i], each
+        scale being 1 or -1 and each offset an int.
 
-        With s = S/l and c = C/l over l = lcm of their denominators and m
-        the top exponent of the leg, (s*x + c)^e times l^m expands once per
-        call into the integer terms (j, C(e, j) S^j C^(e-j) l^(m-e)).  A
-        monomial's image is the product of these lists across the legs; the
-        sum runs in integers over den * prod l^m.
+        A monomial's image is the product across the legs of the rows of
+        (s*x + c)^e, memoised by _row.  x -> s*x + c is invertible over the
+        integers, so the image keeps the content and the canonical
+        denominator: the sum needs only its zeros dropped, and no gcd.
         """
-        scales = [_as_fraction(s) for s in scales]
-        offsets = [_as_fraction(c) for c in offsets]
-        lcms = [math.lcm(s.denominator, c.denominator)
-                for s, c in zip(scales, offsets)]
-        shifts = range(_W, _W * (self.legs + 1), _W)
-        tops = _tops(self.num, shifts)
-        expansions = [{} for _ in shifts]
+        if len(scales) != self.legs or len(offsets) != self.legs:
+            raise ValueError("need one scale and one offset per variable")
+        if not all(type(v) is int for v in (*scales, *offsets)):
+            raise TypeError("scales and offsets must be ints, got %r and %r"
+                            % (scales, offsets))
+        if not all(s in (1, -1) for s in scales):
+            raise ValueError("scales must be 1 or -1, got %r" % (scales,))
+        legs = list(zip(range(_W, _W * (self.legs + 1), _W), scales, offsets))
         images_of = {}
         acc = {}
         for key, v in self.num.items():
             images = images_of.get(key >> _W)
             if images is None:
                 images = [(0, 1)]
-                for i, sh in enumerate(shifts):
-                    e = key >> sh & _MASK
-                    table = expansions[i].get(e)
-                    if table is None:
-                        s, c, l = scales[i], offsets[i], lcms[i]
-                        S = s.numerator * (l // s.denominator)
-                        C = c.numerator * (l // c.denominator)
-                        table = [(j << sh, math.comb(e, j) * S**j
-                                  * C**(e - j) * l**(tops[i] - e))
-                                 for j in range(e + 1)]
-                        table = expansions[i][e] = [t for t in table if t[1]]
-                    images = [(ks + kj, k * c)
-                              for ks, k in images for kj, c in table]
+                for sh, s, c in legs:
+                    row = _row(sh, key >> sh & _MASK, s, c)
+                    images = [(ks + kj, k * r)
+                              for ks, k in images for kj, r in row]
                 images_of[key >> _W] = images
             deg = key & _MASK
             for ks, k in images:
                 acc[ks + deg] = acc.get(ks + deg, 0) + v * k
-        den = self.den * math.prod([l**m for l, m in zip(lcms, tops)])
-        return DPoly.from_num(self.legs, acc, den)
+        res = DPoly.__new__(DPoly)
+        res.legs, res.den = self.legs, self.den
+        res.num = {k: v for k, v in acc.items() if v}
+        return res
 
     def shift(self, offsets):
         """Replace each variable x_i by x_i + offsets[i]."""
@@ -439,44 +432,26 @@ class DPoly:
         return DPoly.from_num(self.legs - 1, _unguarded(acc), self.den)
 
     def evaluate(self, point, u_value=0):
-        """Exact value at a rational point (one entry per variable): the
-        one-point case of `value_ratios`."""
-        (num,), (den,) = self.value_ratios((tuple(point),), u_value)
-        return Fraction(num, den)
-
-    def value_ratios(self, points, u_value=0):
-        """(nums, dens): the exact values at `points`, a tuple of tuples, as
-        two lists of ints, value j being nums[j]/dens[j] with dens[j] > 0,
-        not reduced.  Each monomial's numerators are summed with the powers
-        of u first, then multiplied once into the monomial's column over the
-        points, the product of its variables' memoised power columns."""
-        legs = self.legs
-        if any(len(p) != legs for p in points):
+        """Exact value at a rational point (one entry per variable), with u
+        at u_value."""
+        if len(point) != self.legs:
             raise ValueError("point must assign every variable")
-        u_powers = _ratio_powers(u_value, *_tops(self.num, [0]))
-        if not points:
-            return [], []
-        coefs = {}
+        values = (u_value, *point)
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            raise TypeError("expected integers or Fractions, got %r"
+                            % (values,))
+        shifts = range(0, _W * (self.legs + 1), _W)
+        total = 0
         for key, v in self.num.items():
-            e = key >> _W
-            coefs[e] = coefs.get(e, 0) + v * u_powers[key & _MASK]
-        shifts = range(0, _W * legs, _W)
-        columns = _power_columns(points, _tops(coefs, shifts))
-        nums = [0] * len(points)
-        for e, c in coefs.items():
-            if c:
-                column = repeat(c)
-                for powers, sh in zip(columns, shifts):
-                    column = map(operator.mul, column, powers[e >> sh & _MASK])
-                nums = list(map(operator.add, nums, column))
-        dens = repeat(self.den * u_powers[0])
-        for powers in columns:
-            dens = map(operator.mul, dens, powers[0])
-        return nums, list(dens)
+            for sh, x in zip(shifts, values):
+                v *= x ** (key >> sh & _MASK)
+            total += v
+        return Fraction(total, self.den)
 
     def specialize_u(self, u0):
         """The polynomial at u = u0: every u-degree becomes 0."""
-        u_table = _ratio_powers(u0, *_tops(self.num, [0]))
+        u_table = _ratio_powers(u0, max([k & _MASK for k in self.num],
+                                        default=0))
         acc = {}
         for key, v in self.num.items():
             k = key >> _W << _W
@@ -499,12 +474,6 @@ class DPoly:
                     cs += "*" + (name if e == 1 else "%s^%d" % (name, e))
             out += " + " + cs if out else cs
         return out
-
-
-def _tops(keys, shifts):
-    """Each leg's top exponent over keys, its field being at each of
-    shifts."""
-    return [max([k >> s & _MASK for k in keys], default=0) for s in shifts]
 
 
 def _unguarded(acc):
@@ -539,31 +508,23 @@ def _ratio_powers(v, m):
     return out
 
 
-_COLUMNS = {}
+_ROWS = {}
 
 
-def _power_columns(points, tops):
-    """For each variable i with top exponent tops[i], the rows
-    [a^e * b^(m-e) for the i-th coordinate a/b of each point] for e in
-    0..m: the numerators of the coordinates' powers over the common
-    denominators b^m, which make up the first row.
+def _row(sh, e, s, c):
+    """The nonzero terms (j << sh, C(e, j) s^j c^(e-j)) of (s*x + c)^e, x's
+    field being at sh.
 
-    Memoised by (points, i, m), so the returned rows are shared between
-    calls and must not be mutated.
+    Memoised by (sh, e, s, c), so the returned row is shared between calls
+    and must not be mutated.
     """
-    # checked before the lookup: 1.0 would find the rows of 1
-    if not all(map(isinstance, chain.from_iterable(points),
-                   repeat((int, Fraction)))):
-        raise TypeError("expected integers or Fractions, got %r" % (points,))
-    out = []
-    for i, m in enumerate(tops):
-        key = (points, i, m)
-        rows = _COLUMNS.get(key)
-        if rows is None:
-            rows = _COLUMNS[key] = list(zip(*[_ratio_powers(p[i], m)
-                                              for p in points]))
-        out.append(rows)
-    return out
+    key = (sh, e, s, c)
+    row = _ROWS.get(key)
+    if row is None:
+        row = _ROWS[key] = [
+            (j << sh, t) for j in range(e + 1)
+            if (t := math.comb(e, j) * s**j * c**(e - j))]
+    return row
 
 
 _BINOM = {}

@@ -68,22 +68,20 @@ class TestSampleCheck:
         assert _sample_check(x, x) is True
 
     def test_one_evaluation_per_side_and_point(self, monkeypatch):
-        # each side is evaluated once, over all the points together
+        # each side is evaluated once at each point, at u = 0
         calls = []
-        value_ratios = DPoly.value_ratios
+        evaluate = DPoly.evaluate
 
-        def counting(self, points, u_value=0):
-            calls.append((self, tuple(map(tuple, points)), u_value))
-            return value_ratios(self, points, u_value)
+        def counting(self, point, u_value=0):
+            calls.append((self, point, u_value))
+            return evaluate(self, point, u_value)
 
         inst = verify_bigident(2, 1, 1, 1)
-        monkeypatch.setattr(DPoly, "value_ratios", counting)
+        monkeypatch.setattr(DPoly, "evaluate", counting)
         assert _sample_check(inst.lhs, inst.rhs) is True
-        assert len(calls) == 2
-        assert {id(side) for side, _, _ in calls} == {id(inst.lhs),
-                                                      id(inst.rhs)}
-        for _, points, u_value in calls:
-            assert points == SAMPLE_POINTS[3] and u_value == 0
+        assert [(id(side), point, u_value) for side, point, u_value in calls
+                ] == [(id(side), point, 0) for point in SAMPLE_POINTS[3]
+                      for side in (inst.lhs, inst.rhs)]
 
 
 class TestChains:

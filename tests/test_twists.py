@@ -584,7 +584,7 @@ def test_every_registered_check_runs_at_the_given_order(name):
 def test_declared_options_are_the_applied_ones(name):
     # a check declares "u" iff some report runs at the given u, and "family"
     # iff every report runs for the given family; a report that does not
-    # run at a given value (lr-u1 runs at u=1) is noted
+    # run at a given value is noted
     applied = twists.CHECKS[name][1]
     assert set(applied) <= {"family", "u"}
     reports = run_suite(checks=[name], order=1, family="L", u=Fraction(1, 2))
