@@ -1,8 +1,9 @@
 """Write tests/golden.json: the SHA-256 of the stdout of every command line
 in ARGVS that exits 0 (`expand`, `identities` and `verify`, each with
-`--format json`), and of each identity chain's instance sequence, every
-instance's (chain, params, str(lhs), str(rhs), equal) in order, for the L
-and R chains at bounds 0 to 3.
+`--format json`, plus three `expand --format text` lines, which print each
+coefficient by str(UPoly)), and of each identity chain's instance sequence,
+every instance's (chain, params, str(lhs), str(rhs), equal) in order, for
+the L and R chains at bounds 0 to 3.
 
     PYTHONPATH=src python3 tests/golden.py
 
@@ -27,6 +28,11 @@ ARGVS = tuple(
      + ["--form", form, "--order", "5"] + JSON
      for family in twists.FAMILIES for inverse in (False, True)
      for form in twists.FORMS]
+    + [["expand", "--family", "L", "--order", "5", "--format", "text"],
+       ["expand", "--family", "L", "--order", "5", "--format", "text",
+        "--ascii"],
+       ["expand", "--family", "R", "--inverse", "--order", "4", "--u", "1/3",
+        "--format", "text"]]
     + [["identities"] + suite + JSON for suite in (
         ["--bigident", "--bound", "2"], ["--bigident", "--bound", "3"],
         ["--bigident", "--bound", "4"],

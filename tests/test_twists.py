@@ -191,6 +191,11 @@ class TestCocycle:
         assert rep.grades[0] and rep.grades[1]
         assert not rep.grades[2]
         assert rep.failure["grade"] == 2
+        # the two sides' coefficients at symbolic u, printed by str(UPoly)
+        assert rep.failure["momenta"] == ((0, 0), (1, 0), (1, 0))
+        assert rep.failure["dilatation_exponents"] == (1, 0, 0)
+        assert (rep.failure["left"], rep.failure["right"]) == (
+            "-u^2+u+1", "-u^2+u")
 
     def test_symmetric_momentum_corruption_surfaces_at_grade_three(
             self, monkeypatch):
