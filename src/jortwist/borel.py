@@ -54,7 +54,7 @@ class TensorElement:
                     raise ValueError("bad momentum key %r" % (key,))
                 if _key_grade(key) > truncation:
                     continue
-                if not isinstance(d, DPoly):
+                if not isinstance(d, DPoly) or not d.legs:
                     d = DPoly.const(legs, d)
                 if d.legs != legs:
                     raise ValueError("DPoly leg count does not match element")

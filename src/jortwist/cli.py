@@ -26,7 +26,7 @@ import argparse
 import json
 from fractions import Fraction
 
-from .exactalg import MAX_LEGS, DPoly, UPoly
+from .exactalg import MAX_DEGREE, MAX_LEGS, DPoly, UPoly
 
 SCHEMA_VERSION = 1
 
@@ -41,11 +41,11 @@ def _frac_str(c):
 
 def element_to_dict(e):
     terms = []
-    for key in sorted(e.terms):
+    for key, d in e.terms.items():
         dpoly = []
-        for exps, coef in sorted(e.terms[key].terms.items()):
-            upoly = [[deg, _frac_str(coef.coeffs[deg])]
-                     for deg in sorted(coef.coeffs)]
+        for exps, coef in sorted(d.terms.items()):
+            upoly = [[deg, _frac_str(c)]
+                     for deg, c in sorted(coef.coeffs.items())]
             dpoly.append({"exps": list(exps), "upoly": upoly})
         terms.append({
             "kappa_power": sum(p for p, _ in key),
@@ -148,8 +148,9 @@ _ASCII = {"kappa": "kappa", "otimes": "(x)", "dot": " * "}
 
 def _coef_str(coef):
     s = str(coef)
-    if len(coef.coeffs) > 1 or (coef.coeffs and 0 not in coef.coeffs
-                                and set(coef.coeffs.values()) != {Fraction(1)}):
+    coeffs = coef.coeffs
+    if len(coeffs) > 1 or (coeffs and 0 not in coeffs
+                           and set(coeffs.values()) != {Fraction(1)}):
         return "(%s)" % s
     if s.startswith("-") and len(s) > 2:
         return "(%s)" % s
@@ -170,9 +171,9 @@ def element_to_text(e, ascii_only=False):
     sym = _ASCII if ascii_only else _SYMBOLS
     lines = []
     entries = []
-    for key in sorted(e.terms):
+    for key, d in e.terms.items():
         grade = sum(p for p, _ in key)
-        for exps, coef in sorted(e.terms[key].terms.items()):
+        for exps, coef in d.terms.items():
             entries.append((grade, key, exps, coef))
     entries.sort(key=lambda t: (t[0], t[1], t[2]))
     for grade, key, exps, coef in entries:
@@ -227,6 +228,15 @@ def _verify_order(text):
     return value
 
 
+def _det_order(text):
+    value = _nonneg_int(text)
+    if value > MAX_DEGREE:
+        raise argparse.ArgumentTypeError(
+            "must be at most %d, the largest u-degree, got %d"
+            % (MAX_DEGREE, value))
+    return value
+
+
 def _expand_arguments(p):
     p.add_argument("--family", required=True, choices=twists.FAMILIES)
     p.add_argument("--inverse", action="store_true")
@@ -251,8 +261,9 @@ def _verify_arguments(p):
 def _identities_arguments(p):
     p.add_argument("--bigident", action="store_true")
     p.add_argument("--chain", choices=("L", "R"))
-    p.add_argument("--det", type=_nonneg_int, metavar="N",
-                   help="check the independence determinant for order N")
+    p.add_argument("--det", type=_det_order, metavar="N",
+                   help="check the independence determinant for order N, "
+                        "at most %d" % MAX_DEGREE)
     p.add_argument("--bound", type=_nonneg_int)
 
 

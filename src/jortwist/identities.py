@@ -259,8 +259,8 @@ def independence_matrix(n):
     rows = []
     u = UPoly.u()
     for k in range(n + 1):
-        p = (u - 1) ** k * u ** (n - k)
-        rows.append([p.coeffs.get(n - m, Fraction(0)) for m in range(n + 1)])
+        coeffs = ((u - 1) ** k * u ** (n - k)).coeffs
+        rows.append([coeffs.get(n - m, Fraction(0)) for m in range(n + 1)])
     return rows
 
 

@@ -393,7 +393,7 @@ def mutate_coefficient(element, key, exps, delta):
     """Return a copy with one stored coefficient shifted by `delta`."""
     terms = dict(element.terms)
     d = terms.get(key, DPoly(element.legs))
-    bump = DPoly(element.legs, {tuple(exps): UPoly.coerce(delta)})
+    bump = DPoly(element.legs, {tuple(exps): delta})
     terms[key] = d + bump
     return TensorElement(element.legs, element.truncation, terms)
 

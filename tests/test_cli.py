@@ -255,6 +255,15 @@ class TestIdentities:
         assert code == 1
         assert "FAIL" in out and "det = 2" in out
 
+    def test_det_past_the_largest_u_degree_is_a_usage_error(self, capsys):
+        # (u-1)^k u^(N-k) has u-degree N, and a key holds at most 32767
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["identities", "--det", "32768"])
+        assert exc.value.code == 2
+        assert "must be at most 32767, the largest u-degree" in (
+            capsys.readouterr().err)
+        assert cli._det_order("32767") == 32767
+
     def test_default_bound_is_reported(self, capsys):
         code, out = run(["identities", "--chain", "R", "--format", "json"],
                         capsys)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import pytest
 from jortwist.exactalg import (_GUARD, _MASK, _TOP, _W, MAX_LEGS, DPoly,
                                UPoly, binom_poly)
 
-from conftest import random_dpoly
+from jortwist.borel import TensorElement
+
+from conftest import random_dpoly, random_upoly
 
 
 def u():
@@ -251,6 +254,67 @@ def test_upoly_no_stored_zeros():
     p = u() - u()
     assert p.coeffs == {}
     assert (UPoly({0: 2, 1: 0})).coeffs == {0: Fraction(2)}
+
+
+class TestNoLegs:
+    """A UPoly is the DPoly with no legs.  Its keys, u-degrees alone, are
+    valid keys on any leg count, so it meets a legged DPoly as the lift
+    DPoly.const(legs, p) would, and u-arithmetic stays a UPoly."""
+
+    random_poly = staticmethod(TestEvaluateAgainstNaive.random_poly)
+
+    @pytest.mark.parametrize("legs", [1, 2, 3])
+    def test_either_side_of_a_dpoly_equals_the_lifted_route(self, rng, legs):
+        for _ in range(20):
+            a = self.random_poly(rng, legs)
+            p = random_upoly(rng, max_deg=3)
+            lifted = DPoly.const(legs, p)
+            for op in (operator.add, operator.sub, operator.mul):
+                for got, want in ((op(a, p), op(a, lifted)),
+                                  (op(p, a), op(lifted, a))):
+                    assert type(got) is DPoly and got.legs == legs
+                    assert (got.den, got.num) == (want.den, want.num)
+            for b in (a, lifted, a - a):
+                assert (b == p) is (b == lifted) is (p == b)
+            assert lifted == p and hash(lifted) == hash(p)
+
+    def test_upoly_with_upoly_is_a_upoly(self, rng):
+        for _ in range(20):
+            p, q = random_upoly(rng, 3), random_upoly(rng, 3)
+            for r in (p + q, p - q, p * q, -p, p**3, 2 - p, p + 1,
+                      p * Fraction(1, 3), p.specialize_u(2),
+                      (p + u()**5).terms[()]):
+                assert type(r) is UPoly and r.legs == 0
+
+    def test_dpoly_refuses_no_legs(self):
+        with pytest.raises(ValueError, match="legs must be between"):
+            DPoly(0)
+
+    @pytest.mark.parametrize("deg", [_TOP, True])
+    def test_degree_beyond_the_field_or_a_bool_rejected(self, deg):
+        with pytest.raises(ValueError, match="bad degree"):
+            UPoly({deg: 1})
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            UPoly({0: 0.5})
+
+    def test_a_tensor_term_lifts_a_upoly(self):
+        got = TensorElement(1, 3, {((0, 0),): UPoly.u()})
+        assert got == TensorElement(1, 3, {
+            ((0, 0),): DPoly.const(1, UPoly.u())})
+        assert got.terms[((0, 0),)].legs == 1
+
+    def test_call_is_specialize_u(self, rng):
+        for _ in range(20):
+            p = random_upoly(rng, 4)
+            u0 = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            assert type(p(u0)) is Fraction
+            assert p(u0) == p.specialize_u(u0)
+
+    def test_traced_names_are_functions_of_their_own(self):
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__pow__"):
+            assert vars(UPoly)[name] is not vars(DPoly)[name]
 
 
 def built_from(legs, contributions):
