@@ -39,8 +39,9 @@ class TensorElement:
     def __init__(self, legs, truncation, terms=None):
         if not 1 <= legs <= MAX_LEGS:
             raise ValueError("legs must be between 1 and %d" % MAX_LEGS)
-        if truncation < 0:
-            raise ValueError("truncation order must be nonnegative")
+        if type(truncation) is not int or truncation < 0:
+            raise ValueError("truncation order must be a nonnegative int, "
+                             "got %r" % (truncation,))
         self.legs = legs
         self.truncation = truncation
         cleaned = {}

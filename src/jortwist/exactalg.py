@@ -358,10 +358,6 @@ class UPoly(DPoly):
     def u():
         return DPoly.from_num(0, {1: 1})
 
-    @staticmethod
-    def coerce(value):
-        return value if isinstance(value, UPoly) else DPoly.const(0, value)
-
     @property
     def coeffs(self):
         """{degree: Fraction}: a fresh read-only view."""

@@ -255,41 +255,38 @@ def verify_identity_chain(chain, bound=None):
 # ---------------------------------------------------------------------------
 
 def independence_matrix(n):
-    """Rows: coefficients of (u-1)^k u^(n-k) in the basis u^n, ..., u, 1."""
-    rows = []
-    u = UPoly.u()
+    """Rows: coefficients of (u-1)^k u^(n-k) in the basis u^n, ..., u, 1;
+    the u^d term of p_k = (u-1)^k = p_(k-1)*(u-1) lands in column k-d."""
+    rows, p, zero = [], UPoly.const(1), Fraction(0)
+    step = UPoly.u() - 1
     for k in range(n + 1):
-        coeffs = ((u - 1) ** k * u ** (n - k)).coeffs
-        rows.append([coeffs.get(n - m, Fraction(0)) for m in range(n + 1)])
+        coeffs = p.coeffs
+        rows.append([coeffs.get(k - m, zero) for m in range(n + 1)])
+        p = p * step
     return rows
 
 
 def independence_det(n):
-    """Exact determinant of the change-of-basis matrix (unimodular: +-1)."""
+    """Exact determinant of the change-of-basis matrix (unimodular: +-1),
+    read off its lower-triangular form: row k's lowest term, (-1)^k u^(n-k),
+    is on the diagonal.  A row with a term right of it raises ValueError."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m = [row[:] for row in independence_matrix(n)]
-    size = n + 1
     det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, size):
-                    m[r][c] -= factor * m[col][c]
+    for k, row in enumerate(independence_matrix(n)):
+        if any(row[k + 1:]):
+            raise ValueError("row %d has a term below u^%d" % (k, n - k))
+        det *= row[k]
     return det
 
 
 def check_independence(n):
-    """The basis change at order n is unimodular: |det| = 1."""
-    det = independence_det(n)
+    """The basis change at order n is unimodular: |det| = 1.  A matrix that
+    is not lower triangular fails, its note naming the row."""
+    try:
+        det = independence_det(n)
+    except ValueError as exc:
+        return VerificationReport("independence", {"order": n}, False,
+                                  notes=[str(exc)])
     return VerificationReport("independence", {"order": n}, abs(det) == 1,
                               notes=["det = %s" % det])

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from jortwist import identities
+from jortwist import cli, identities
 from jortwist.exactalg import MAX_LEGS, DPoly, binom_poly, int_binom
 from jortwist.identities import (SAMPLE_COUNT, SAMPLE_POINTS, SAMPLE_SEED,
                                  _sample_check, independence_det,
@@ -210,11 +210,11 @@ class TestIndependenceDet:
         ]
         assert independence_det(2) == -1
 
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", [*range(9), 100])
     def test_unimodular(self, n):
         assert abs(independence_det(n)) == 1
 
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", [*range(9), 100])
     def test_signed_value_is_product_of_diagonal(self, n):
         # the matrix is triangular with (-1)^k on the diagonal
         assert independence_det(n) == (-1) ** (n * (n + 1) // 2)
@@ -222,3 +222,38 @@ class TestIndependenceDet:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             independence_det(-1)
+
+
+class TestIndependenceMutations:
+    """independence_det reads the matrix through the module name, so a
+    mutated identities.independence_matrix reaches the check."""
+
+    @staticmethod
+    def mutate(monkeypatch, row, col, value):
+        build = identities.independence_matrix
+
+        def mutated(n):
+            rows = build(n)
+            rows[row][col] = Fraction(value)
+            return rows
+        monkeypatch.setattr(identities, "independence_matrix", mutated)
+
+    def test_term_right_of_the_diagonal_fails_naming_its_row(
+            self, monkeypatch, capsys):
+        # row 1 is (u-1) u^2 = u^3 - u^2; a 5 u term is below u^2
+        self.mutate(monkeypatch, 1, 2, 5)
+        rep = identities.check_independence(3)
+        assert not rep.passed
+        assert rep.notes == ["row 1 has a term below u^2"]
+        assert cli.main(["identities", "--det", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["independence   FAIL order=3",
+                                    "    note: row 1 has a term below u^2"]
+        assert err == ""
+
+    def test_pivot_two_fails_with_det_two(self, monkeypatch):
+        # the diagonal 1, -1, 2, -1 multiplies to 2
+        self.mutate(monkeypatch, 2, 2, 2)
+        rep = identities.check_independence(3)
+        assert not rep.passed
+        assert rep.notes == ["det = 2"]
