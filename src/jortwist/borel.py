@@ -37,8 +37,9 @@ class TensorElement:
     __slots__ = ("legs", "truncation", "terms")
 
     def __init__(self, legs, truncation, terms=None):
-        if not 1 <= legs <= MAX_LEGS:
-            raise ValueError("legs must be between 1 and %d" % MAX_LEGS)
+        if type(legs) is not int or not 1 <= legs <= MAX_LEGS:
+            raise ValueError("legs must be between 1 and %d, got %r"
+                             % (MAX_LEGS, legs))
         if type(truncation) is not int or truncation < 0:
             raise ValueError("truncation order must be a nonnegative int, "
                              "got %r" % (truncation,))

@@ -220,28 +220,10 @@ def _nonneg_int(text):
     return value
 
 
-def _verify_order(text):
-    value = _nonneg_int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError(
-            "must be at least 1: at order 0 every twist is 1 (x) 1")
-    return value
-
-
-def _det_order(text):
-    value = _nonneg_int(text)
-    if value > MAX_DEGREE:
-        raise argparse.ArgumentTypeError(
-            "must be at most %d, the largest u-degree, got %d"
-            % (MAX_DEGREE, value))
-    return value
-
-
 def _expand_arguments(p):
     p.add_argument("--family", required=True, choices=twists.FAMILIES)
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--form", default="auto",
-                   choices=("auto",) + twists.FORMS)
+    p.add_argument("--form", choices=twists.FORMS)
     p.add_argument("--order", type=_nonneg_int, required=True)
     p.add_argument("--u", type=_parse_u, default=None,
                    help="'symbolic' (default) or a rational like 1/2; "
@@ -254,14 +236,14 @@ def _verify_arguments(p):
     p.add_argument("--check", action="append", dest="checks",
                    choices=tuple(twists.CHECKS))
     p.add_argument("--family", choices=tuple(twists.INTERPOLATING))
-    p.add_argument("--order", type=_verify_order)
+    p.add_argument("--order", type=_nonneg_int)
     p.add_argument("--u", type=_parse_u, default=None)
 
 
 def _identities_arguments(p):
     p.add_argument("--bigident", action="store_true")
     p.add_argument("--chain", choices=("L", "R"))
-    p.add_argument("--det", type=_det_order, metavar="N",
+    p.add_argument("--det", type=_nonneg_int, metavar="N",
                    help="check the independence determinant for order N, "
                         "at most %d" % MAX_DEGREE)
     p.add_argument("--bound", type=_nonneg_int)
@@ -334,15 +316,9 @@ def _emit_reports(reports, args):
 # ---------------------------------------------------------------------------
 
 def _cmd_expand(args, parser):
-    if args.u is not None and args.family in twists.ENDPOINTS:
-        parser.error("--u applies to families %s only; family %s has no u"
-                     % (" and ".join(twists.INTERPOLATING), args.family))
-    try:
-        element = twists.build_twist(
-            args.family, "inverse" if args.inverse else "twist", args.order,
-            args.u, None if args.form == "auto" else args.form)
-    except ValueError as exc:
-        parser.error(str(exc))
+    element = twists.build_twist(
+        args.family, "inverse" if args.inverse else "twist", args.order,
+        args.u, args.form)
     if args.format == "json":
         _emit(json.dumps(element_to_dict(element), indent=2), args.out)
     else:
@@ -394,14 +370,18 @@ def main(argv=None):
     """Run the command argv[0].  The parser gets only that command's
     arguments; without a command (e.g. `--help`) every command gets its
     arguments.  `--u V` is read as `--u=V`, so V may be a negative
-    rational."""
+    rational.  The library refuses bad input with a ValueError, which
+    becomes a usage error of the command (exit 2)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     while "--u" in argv[:-1]:  # argparse reads a separate "-3/2" as an option
         i = argv.index("--u")
         argv[i:i + 2] = ["--u=" + argv[i + 1]]
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = _build_parser(command).parse_args(argv)
-    return args.run(args, args.parser)
+    try:
+        return args.run(args, args.parser)
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

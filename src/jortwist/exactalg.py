@@ -54,8 +54,9 @@ class DPoly:
     def __init__(self, legs, terms=None):
         """From {exps: coefficient}, a coefficient being an int, a Fraction
         or a UPoly."""
-        if not 1 <= legs <= MAX_LEGS:
-            raise ValueError("legs must be between 1 and %d" % MAX_LEGS)
+        if type(legs) is not int or not 1 <= legs <= MAX_LEGS:
+            raise ValueError("legs must be between 1 and %d, got %r"
+                             % (MAX_LEGS, legs))
         coefs = {}
         if terms:
             for exps, c in terms.items():

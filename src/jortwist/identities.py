@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from .exactalg import MAX_LEGS, DPoly, UPoly, binom_poly, int_binom
+from .exactalg import MAX_DEGREE, MAX_LEGS, DPoly, UPoly, binom_poly, int_binom
 from .report import VerificationReport
 
 DEFAULT_BOUNDS = {"bigident": 4, "L": 4, "R": 3}  # by suite or chain
@@ -266,12 +266,19 @@ def independence_matrix(n):
     return rows
 
 
+def _refuse_order(n):
+    """ValueError unless 0 <= n <= MAX_DEGREE: row 0, u^n, has u-degree n."""
+    if not 0 <= n <= MAX_DEGREE:
+        raise ValueError("order must be nonnegative and must be at most %d, "
+                         "the largest u-degree, got %d" % (MAX_DEGREE, n))
+
+
 def independence_det(n):
     """Exact determinant of the change-of-basis matrix (unimodular: +-1),
     read off its lower-triangular form: row k's lowest term, (-1)^k u^(n-k),
-    is on the diagonal.  A row with a term right of it raises ValueError."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    is on the diagonal.  An order outside 0..MAX_DEGREE, or a row with a
+    term right of the diagonal, raises ValueError."""
+    _refuse_order(n)
     det = Fraction(1)
     for k, row in enumerate(independence_matrix(n)):
         if any(row[k + 1:]):
@@ -282,7 +289,9 @@ def independence_det(n):
 
 def check_independence(n):
     """The basis change at order n is unimodular: |det| = 1.  A matrix that
-    is not lower triangular fails, its note naming the row."""
+    is not lower triangular fails, its note naming the row; an order outside
+    0..MAX_DEGREE raises ValueError before any row is built."""
+    _refuse_order(n)
     try:
         det = independence_det(n)
     except ValueError as exc:

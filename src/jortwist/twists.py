@@ -127,13 +127,16 @@ FAMILIES = tuple(ENDPOINTS) + tuple(INTERPOLATING)
 
 def build_twist(family, direction, N, u=None, form=None):
     """The twist (direction "twist") or its inverse ("inverse") of a family
-    to order N, at a rational u or with u symbolic (None).  form=None means
-    the series: "closed" in the direction the paper prints (either, for an
-    endpoint family), else "inverted-closed", the inverse of the other
-    direction's closed form."""
+    to order N, at a rational u or with u symbolic (None); an endpoint
+    family has no u, and refuses one.  form=None means the series: "closed"
+    in the direction the paper prints (either, for an endpoint family), else
+    "inverted-closed", the inverse of the other direction's closed form."""
     if family not in FAMILIES or direction not in DIRECTIONS:
         raise ValueError("unknown family or direction %r, %r"
                          % (family, direction))
+    if u is not None and family in ENDPOINTS:
+        raise ValueError("u applies to families %s only; family %s has no u"
+                         % (" and ".join(INTERPOLATING), family))
     inverse = direction == "inverse"
     if family in ENDPOINTS and form in (None, "closed"):
         return ENDPOINTS[family](N, inverse)
@@ -426,7 +429,11 @@ def run_suite(checks=None, order=None, family=None, u=None):
     """Run the named checks of CHECKS (default: all), each once, and return
     the reports in order; each check runs at `order`, or at its own default
     order.  The reports of a check that does not apply a given `family` or
-    `u` carry the note "family not applied" or "u not applied"."""
+    `u` carry the note "family not applied" or "u not applied".  An order
+    below 1, where every check would pass, raises ValueError."""
+    if order is not None and order < 1:
+        raise ValueError("order must be at least 1: at order 0 every twist "
+                         "is 1 (x) 1")
     selected = list(dict.fromkeys(checks or CHECKS))
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:

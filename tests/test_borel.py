@@ -543,14 +543,17 @@ def test_every_operation_stores_no_zero_and_nothing_above_n(name, rng):
         assert all(_grade(k) <= res.truncation for k in res.terms)
 
 
-@pytest.mark.parametrize("truncation, key", [
-    (3, ((1.5, 0),)), (3, ((0, 2.0),)), (3, ((Fraction(1), 0),)),
-    (3, ((-1, 0),)), (3, ((1, 0, 0),)), (3, ((True, 0),)),
-    (2.5, ((0, 0),)), (2.0, ((0, 0),)), (True, ((0, 0),))])
-def test_non_integer_or_negative_momentum_degree_rejected(truncation, key):
+@pytest.mark.parametrize("legs, truncation, key", [
+    (1, 3, ((1.5, 0),)), (1, 3, ((0, 2.0),)), (1, 3, ((Fraction(1), 0),)),
+    (1, 3, ((-1, 0),)), (1, 3, ((1, 0, 0),)), (1, 3, ((True, 0),)),
+    (1, 2.5, ((0, 0),)), (1, 2.0, ((0, 0),)), (1, True, ((0, 0),)),
+    (True, 2, ((0, 0),)), (1.0, 2, ((0, 0),)), (2.0, 2, ((0, 0), (0, 0)))])
+def test_non_integer_or_negative_momentum_degree_rejected(legs, truncation,
+                                                          key):
     # int() used to truncate 1.5 to 1 and let the term in; a bool is an
     # int subclass, so isinstance let True in as the degree 1.  The
-    # truncation, the largest total momentum degree kept, is checked alike
-    with pytest.raises(ValueError,
-                       match="bad momentum key|truncation order must be"):
-        TensorElement(1, truncation, {key: 1})
+    # truncation, the largest total momentum degree kept, and the leg
+    # count are checked alike
+    with pytest.raises(ValueError, match="bad momentum key|truncation order "
+                                         "must be|legs must be between"):
+        TensorElement(legs, truncation, {key: 1})

@@ -604,11 +604,14 @@ class TestCanonicalForm:
             var(2, 1) * 0)
 
 
-@pytest.mark.parametrize("exps", [(1.5,), (2.0,), (Fraction(1),), (-1,),
-                                  (True,)])
-def test_non_integer_or_negative_exponent_rejected(exps):
-    with pytest.raises(ValueError, match="bad exponent vector"):
-        DPoly(1, {exps: 1})
+@pytest.mark.parametrize("legs, exps", [
+    (1, (1.5,)), (1, (2.0,)), (1, (Fraction(1),)), (1, (-1,)), (1, (True,)),
+    (True, (0,)), (1.0, (0,)), (2.0, (0, 0))])
+def test_non_integer_or_negative_exponent_rejected(legs, exps):
+    # the leg count, like each exponent, must be an int, not a bool
+    with pytest.raises(ValueError,
+                       match="bad exponent vector|legs must be between"):
+        DPoly(legs, {exps: 1})
 
 
 @pytest.mark.parametrize("deg", [1.5, 2.0, Fraction(1), -1, True])

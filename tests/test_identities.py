@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 from jortwist import cli, identities
-from jortwist.exactalg import MAX_LEGS, DPoly, binom_poly, int_binom
+from jortwist.exactalg import (MAX_DEGREE, MAX_LEGS, DPoly, binom_poly,
+                               int_binom)
 from jortwist.identities import (SAMPLE_COUNT, SAMPLE_POINTS, SAMPLE_SEED,
                                  _sample_check, independence_det,
                                  independence_matrix,
@@ -222,6 +223,29 @@ class TestIndependenceDet:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             independence_det(-1)
+
+
+class TestIndependenceOrder:
+    """An order outside 0..32767 is refused before any row is built: row 0,
+    u^n, has u-degree n, and a key holds at most 32767."""
+
+    @pytest.mark.parametrize("n", [-1, MAX_DEGREE + 1])
+    @pytest.mark.parametrize("check", ["independence_det",
+                                       "check_independence"])
+    def test_out_of_range_raises_before_any_row(self, monkeypatch, check, n):
+        def unbuilt(n):
+            raise AssertionError("a row was built for order %d" % n)
+        monkeypatch.setattr(identities, "independence_matrix", unbuilt)
+        with pytest.raises(ValueError, match="must be at most 32767, the "
+                                             "largest u-degree"):
+            getattr(identities, check)(n)
+
+    def test_largest_order_reaches_the_matrix(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(identities, "independence_matrix",
+                            lambda n: built.append(n) or [])
+        assert identities.check_independence(MAX_DEGREE).passed
+        assert built == [MAX_DEGREE]
 
 
 class TestIndependenceMutations:

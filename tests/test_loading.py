@@ -112,6 +112,27 @@ def test_program_output_equals_main(argv, capsys):
     assert out == capsys.readouterr().out.encode()
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--family", "0", "--order", "1", "--u", "1/2"],
+    ["expand", "--family", "1", "--order", "1", "--u", "1/2"],
+    ["expand", "--family", "0", "--order", "1", "--form", "product"],
+    ["verify", "--check", "lr", "--order", "0"],
+    ["identities", "--det", "32768"],
+])
+def test_program_refusal_equals_main(argv, capsys):
+    # the library's ValueError is a usage error both ways, the program
+    # having loaded only its command's layer
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    expected = capsys.readouterr().err.splitlines()[-1]
+    res = subprocess.run([sys.executable, "-m", "jortwist.cli", *argv],
+                         env=ENV, capture_output=True, text=True)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr.splitlines()[-1] == expected
+
+
 def test_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

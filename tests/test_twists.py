@@ -75,6 +75,12 @@ class TestBuildTwist:
         with pytest.raises(ValueError):
             build_twist("X", "twist", 2)
 
+    @pytest.mark.parametrize("family", ["0", "1"])
+    def test_u_for_an_endpoint_family_raises(self, family):
+        # F0 and F1 have no u; a u given for them is refused, not ignored
+        with pytest.raises(ValueError, match="family %s has no u" % family):
+            build_twist(family, "twist", 2, u=Fraction(1, 2))
+
     def test_unknown_direction_raises(self):
         # the product form reads the direction as an inverse flag, so an
         # unknown direction must be refused before any form is built
@@ -632,3 +638,9 @@ def test_run_suite_smoke():
     assert all(r.passed for r in reports)
     with pytest.raises(ValueError):
         run_suite(checks=["bogus"])
+
+
+def test_run_suite_refuses_order_zero():
+    # at order 0 every twist is 1 (x) 1, so every check would pass
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        run_suite(order=0)
