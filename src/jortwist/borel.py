@@ -91,6 +91,14 @@ class TensorElement:
     def is_zero(self):
         return not self.terms
 
+    def monomials(self):
+        """(grade, key, exps, coefficient UPoly) for every monomial, in the
+        one order that output and reports use: grade, then momentum key,
+        then D-exponents.  Each key's monomials are sorted as it is reached."""
+        for grade, key in sorted((_key_grade(k), k) for k in self.terms):
+            for exps, coef in sorted(self.terms[key].terms.items()):
+                yield grade, key, exps, coef
+
     def grade_slice(self, n):
         """The homogeneous part of kappa-grade n."""
         if not 0 <= n <= self.truncation:
@@ -278,8 +286,7 @@ def first_difference(a, b):
     delta = a - b
     if delta.is_zero:
         return None
-    grade, key, exps = min((_key_grade(k), k, exps)
-                           for k, d in delta.terms.items() for exps in d.terms)
+    grade, key, exps, _ = next(delta.monomials())
     ca = a.terms.get(key, DPoly(a.legs)).terms.get(exps, UPoly())
     cb = b.terms.get(key, DPoly(b.legs)).terms.get(exps, UPoly())
     return {

@@ -25,6 +25,7 @@ else:
 import argparse
 import json
 from fractions import Fraction
+from itertools import groupby
 
 from .exactalg import MAX_DEGREE, MAX_LEGS, DPoly, UPoly
 
@@ -35,25 +36,16 @@ SCHEMA_VERSION = 1
 # serialization
 # ---------------------------------------------------------------------------
 
-def _frac_str(c):
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
 def element_to_dict(e):
     terms = []
-    for key, d in e.terms.items():
-        dpoly = []
-        for exps, coef in sorted(d.terms.items()):
-            upoly = [[deg, _frac_str(c)]
-                     for deg, c in sorted(coef.coeffs.items())]
-            dpoly.append({"exps": list(exps), "upoly": upoly})
-        terms.append({
-            "kappa_power": sum(p for p, _ in key),
-            "legs": [{"p": p, "q": q} for p, q in key],
-            "dpoly": dpoly,
-        })
-    terms.sort(key=lambda t: (t["kappa_power"],
-                              [(leg["p"], leg["q"]) for leg in t["legs"]]))
+    for (grade, key), group in groupby(e.monomials(), key=lambda m: m[:2]):
+        dpoly = [{"exps": list(exps),
+                  "upoly": [[deg, "%d/%d" % (c.numerator, c.denominator)]
+                            for deg, c in sorted(coef.coeffs.items())]}
+                 for _, _, exps, coef in group]
+        terms.append({"kappa_power": grade,
+                      "legs": [{"p": p, "q": q} for p, q in key],
+                      "dpoly": dpoly})
     return {
         "schema": SCHEMA_VERSION,
         "legs": e.legs,
@@ -142,10 +134,6 @@ def element_from_dict(data):
     return TensorElement(legs, truncation, terms)
 
 
-_SYMBOLS = {"kappa": "κ", "otimes": "⊗", "dot": " · "}
-_ASCII = {"kappa": "kappa", "otimes": "(x)", "dot": " * "}
-
-
 def _coef_str(coef):
     s = str(coef)
     coeffs = coef.coeffs
@@ -168,30 +156,17 @@ def _leg_str(p, q, e):
 
 
 def element_to_text(e, ascii_only=False):
-    sym = _ASCII if ascii_only else _SYMBOLS
+    """One line per monomial; ascii_only transliterates the Unicode."""
     lines = []
-    entries = []
-    for key, d in e.terms.items():
-        grade = sum(p for p, _ in key)
-        for exps, coef in d.terms.items():
-            entries.append((grade, key, exps, coef))
-    entries.sort(key=lambda t: (t[0], t[1], t[2]))
-    for grade, key, exps, coef in entries:
-        legs = sym["otimes"].join(
-            _leg_str(p, q, exps[i]) for i, (p, q) in enumerate(key))
-        if ascii_only:
-            legs = legs.replace("·", "*")
-        cs = _coef_str(coef)
-        if grade == 0:
-            kap = ""
-        elif grade == 1:
-            kap = "/%s" % sym["kappa"]
-        else:
-            kap = "/%s^%d" % (sym["kappa"], grade)
-        lines.append("%s%s%s%s" % (cs, kap, sym["dot"], legs))
-    if not lines:
-        lines.append("0")
-    return "\n".join(lines)
+    for grade, key, exps, coef in e.monomials():
+        kappa = "" if grade == 0 else "/κ" if grade == 1 else "/κ^%d" % grade
+        legs = "⊗".join(_leg_str(p, q, x) for (p, q), x in zip(key, exps))
+        lines.append("%s%s · %s" % (_coef_str(coef), kappa, legs))
+    text = "\n".join(lines) or "0"
+    if ascii_only:
+        text = text.translate({ord("κ"): "kappa", ord("⊗"): "(x)",
+                               ord("·"): "*"})
+    return text
 
 
 # ---------------------------------------------------------------------------

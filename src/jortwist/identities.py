@@ -235,6 +235,8 @@ def verify_identity_chain(chain, bound=None):
                          % ", ".join(map(repr, SUITES)))
     if bound is None:
         bound = DEFAULT_BOUNDS[chain]
+    if type(bound) is not int:
+        raise ValueError("bound must be an int, got %r" % (bound,))
     if bound < 0:
         raise ValueError("bound must be nonnegative, got %d" % bound)
     check, instances = SUITES[chain]
@@ -256,18 +258,24 @@ def verify_identity_chain(chain, bound=None):
 
 def independence_matrix(n):
     """Rows: coefficients of (u-1)^k u^(n-k) in the basis u^n, ..., u, 1;
-    the u^d term of p_k = (u-1)^k = p_(k-1)*(u-1) lands in column k-d."""
+    the u^d term of p_k = (u-1)^k = p_(k-1)*(u-1) lands in column k-d.  A
+    row with a term above u^n, which no column holds, raises ValueError."""
     rows, p, zero = [], UPoly.const(1), Fraction(0)
     step = UPoly.u() - 1
     for k in range(n + 1):
         coeffs = p.coeffs
+        if max(coeffs, default=0) > k:
+            raise ValueError("row %d has a term above u^%d" % (k, n))
         rows.append([coeffs.get(k - m, zero) for m in range(n + 1)])
         p = p * step
     return rows
 
 
 def _refuse_order(n):
-    """ValueError unless 0 <= n <= MAX_DEGREE: row 0, u^n, has u-degree n."""
+    """ValueError unless n is an int and 0 <= n <= MAX_DEGREE: row 0, u^n,
+    has u-degree n."""
+    if type(n) is not int:
+        raise ValueError("order must be an int, got %r" % (n,))
     if not 0 <= n <= MAX_DEGREE:
         raise ValueError("order must be nonnegative and must be at most %d, "
                          "the largest u-degree, got %d" % (MAX_DEGREE, n))
@@ -277,7 +285,7 @@ def independence_det(n):
     """Exact determinant of the change-of-basis matrix (unimodular: +-1),
     read off its lower-triangular form: row k's lowest term, (-1)^k u^(n-k),
     is on the diagonal.  An order outside 0..MAX_DEGREE, or a row with a
-    term right of the diagonal, raises ValueError."""
+    term right of the diagonal or above u^n, raises ValueError."""
     _refuse_order(n)
     det = Fraction(1)
     for k, row in enumerate(independence_matrix(n)):
@@ -289,8 +297,9 @@ def independence_det(n):
 
 def check_independence(n):
     """The basis change at order n is unimodular: |det| = 1.  A matrix that
-    is not lower triangular fails, its note naming the row; an order outside
-    0..MAX_DEGREE raises ValueError before any row is built."""
+    is not lower triangular, or a row with a term above u^n, fails, its note
+    naming the row; an order that is not an int in 0..MAX_DEGREE raises
+    ValueError before any row is built."""
     _refuse_order(n)
     try:
         det = independence_det(n)

@@ -128,12 +128,16 @@ FAMILIES = tuple(ENDPOINTS) + tuple(INTERPOLATING)
 def build_twist(family, direction, N, u=None, form=None):
     """The twist (direction "twist") or its inverse ("inverse") of a family
     to order N, at a rational u or with u symbolic (None); an endpoint
-    family has no u, and refuses one.  form=None means the series: "closed"
-    in the direction the paper prints (either, for an endpoint family), else
-    "inverted-closed", the inverse of the other direction's closed form."""
+    family has no u, and refuses one; N must be a nonnegative int.  form=None
+    means the series: "closed" in the direction the paper prints (either, for
+    an endpoint family), else "inverted-closed", the inverse of the other
+    direction's closed form."""
     if family not in FAMILIES or direction not in DIRECTIONS:
         raise ValueError("unknown family or direction %r, %r"
                          % (family, direction))
+    if type(N) is not int or N < 0:
+        raise ValueError("truncation order must be a nonnegative int, got %r"
+                         % (N,))
     if u is not None and family in ENDPOINTS:
         raise ValueError("u applies to families %s only; family %s has no u"
                          % (" and ".join(INTERPOLATING), family))
@@ -430,7 +434,9 @@ def run_suite(checks=None, order=None, family=None, u=None):
     the reports in order; each check runs at `order`, or at its own default
     order.  The reports of a check that does not apply a given `family` or
     `u` carry the note "family not applied" or "u not applied".  An order
-    below 1, where every check would pass, raises ValueError."""
+    below 1, where every check would pass, or not an int raises ValueError."""
+    if order is not None and type(order) is not int:
+        raise ValueError("order must be an int, got %r" % (order,))
     if order is not None and order < 1:
         raise ValueError("order must be at least 1: at order 0 every twist "
                          "is 1 (x) 1")

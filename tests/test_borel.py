@@ -420,6 +420,22 @@ class TestSlicesAndSpecialization:
         assert one(2).specialize_u(Fraction(1, 2)) == one(2)
 
 
+def test_monomials_walk_by_grade_then_key_then_exponents(rng):
+    for _ in range(40):
+        legs = rng.randint(1, 3)
+        e = random_element(rng, legs, rng.randint(0, 4), max_terms=6)
+        walk = list(e.monomials())
+        assert sorted((k, x, c) for _, k, x, c in walk) == sorted(
+            (k, x, c) for k, d in e.terms.items() for x, c in d.terms.items())
+        assert all(g == _grade(k) for g, k, _, _ in walk)
+        assert [g for g, *_ in walk] == sorted(g for g, *_ in walk)
+        runs = [k for i, (_, k, _, _) in enumerate(walk)
+                if i == 0 or walk[i - 1][1] != k]
+        assert len(runs) == len(set(runs))  # each key's monomials contiguous
+        for (_, ka, xa, _), (_, kb, xb, _) in zip(walk, walk[1:]):
+            assert ka != kb or xa < xb
+
+
 class TestEquality:
     def test_reflexive(self):
         F = _closed_F0(N)

@@ -414,6 +414,34 @@ class TestSerialization:
         assert element_to_text(TensorElement(1, 2)) == "0"
 
 
+def _buildable():
+    """(family, direction, form, u) for each expansion that builds, u at
+    symbolic and, for the families with a u, at 1/3."""
+    for family in twists.FAMILIES:
+        us = (None, "1/3") if family in twists.INTERPOLATING else (None,)
+        for direction in twists.DIRECTIONS:
+            for form in (None,) + twists.FORMS:
+                try:
+                    twists.build_twist(family, direction, 0, form=form)
+                except ValueError:
+                    continue
+                for u in us:
+                    yield family, direction, form, u
+
+
+@pytest.mark.parametrize("family,direction,form,u", list(_buildable()))
+def test_ascii_text_keeps_every_line(family, direction, form, u, capsys):
+    # the goldens pin the text at order 5 only
+    argv = ["expand", "--family", family, "--order", "6"]
+    argv += ["--inverse"] if direction == "inverse" else []
+    argv += ["--form", form] if form else []
+    argv += ["--u", u] if u else []
+    _, text = run(argv, capsys)
+    _, ascii_text = run(argv + ["--ascii"], capsys)
+    assert ascii_text.isascii() and not text.isascii()
+    assert len(ascii_text.splitlines()) == len(text.splitlines())
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # every command is a fresh process, which would pay for these imports
     probe = ("import sys, jortwist.cli; "

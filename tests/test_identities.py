@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from jortwist import cli, identities
-from jortwist.exactalg import (MAX_DEGREE, MAX_LEGS, DPoly, binom_poly,
-                               int_binom)
+from jortwist.exactalg import (MAX_DEGREE, MAX_LEGS, DPoly, UPoly,
+                               binom_poly, int_binom)
 from jortwist.identities import (SAMPLE_COUNT, SAMPLE_POINTS, SAMPLE_SEED,
                                  _sample_check, independence_det,
                                  independence_matrix,
@@ -114,11 +114,14 @@ class TestChains:
 
 
 class TestSuites:
+    @pytest.mark.parametrize("bound,rule", [(-1, "nonnegative"),
+                                            (2.0, "an int"), (True, "an int")],
+                             ids=["-1", "2.0", "True"])
     @pytest.mark.parametrize("chain", ["bigident", "L", "R"])
-    def test_negative_bound_rejected(self, chain):
-        # a bound of -1 used to pass with 0 instances
-        with pytest.raises(ValueError, match="bound must be nonnegative"):
-            verify_identity_chain(chain, -1)
+    def test_negative_bound_rejected(self, chain, bound, rule):
+        # a bound of -1 used to pass with 0 instances, True with 2
+        with pytest.raises(ValueError, match="bound must be " + rule):
+            verify_identity_chain(chain, bound)
 
     def test_broken_bigident_instance_is_reported(self, monkeypatch):
         real = identities.verify_bigident
@@ -229,15 +232,18 @@ class TestIndependenceOrder:
     """An order outside 0..32767 is refused before any row is built: row 0,
     u^n, has u-degree n, and a key holds at most 32767."""
 
-    @pytest.mark.parametrize("n", [-1, MAX_DEGREE + 1])
+    @pytest.mark.parametrize("n,rule", [
+        (-1, "at most 32767, the largest u-degree"),
+        (MAX_DEGREE + 1, "at most 32767, the largest u-degree"),
+        (2.0, "an int"), (True, "an int")], ids=["-1", "32768", "2.0", "True"])
     @pytest.mark.parametrize("check", ["independence_det",
                                        "check_independence"])
-    def test_out_of_range_raises_before_any_row(self, monkeypatch, check, n):
+    def test_out_of_range_raises_before_any_row(self, monkeypatch, check, n,
+                                                rule):
         def unbuilt(n):
             raise AssertionError("a row was built for order %d" % n)
         monkeypatch.setattr(identities, "independence_matrix", unbuilt)
-        with pytest.raises(ValueError, match="must be at most 32767, the "
-                                             "largest u-degree"):
+        with pytest.raises(ValueError, match="must be " + rule):
             getattr(identities, check)(n)
 
     def test_largest_order_reaches_the_matrix(self, monkeypatch):
@@ -274,6 +280,15 @@ class TestIndependenceMutations:
         assert out.splitlines() == ["independence   FAIL order=3",
                                     "    note: row 1 has a term below u^2"]
         assert err == ""
+
+    def test_term_above_u_to_the_n_fails_naming_its_row(self, monkeypatch):
+        # with the step u + u^2 - 1, row 1 is (u^2 + u - 1) u^2: its u^4
+        # term has no column, and reading only columns hid it
+        u = UPoly.u
+        monkeypatch.setattr(UPoly, "u", staticmethod(lambda: u() + u() * u()))
+        rep = identities.check_independence(3)
+        assert not rep.passed
+        assert rep.notes == ["row 1 has a term above u^3"]
 
     def test_pivot_two_fails_with_det_two(self, monkeypatch):
         # the diagonal 1, -1, 2, -1 multiplies to 2

@@ -74,6 +74,9 @@ class TestBuildTwist:
             build_twist("R", "twist", 2, form="closed")
         with pytest.raises(ValueError):
             build_twist("X", "twist", 2)
+        for N in (-1, 2.0, True):
+            with pytest.raises(ValueError, match="nonnegative int, got"):
+                build_twist("L", "twist", N)
 
     @pytest.mark.parametrize("family", ["0", "1"])
     def test_u_for_an_endpoint_family_raises(self, family):
@@ -640,7 +643,10 @@ def test_run_suite_smoke():
         run_suite(checks=["bogus"])
 
 
-def test_run_suite_refuses_order_zero():
+@pytest.mark.parametrize("order,rule", [(0, "at least 1"), (2.0, "an int"),
+                                        (True, "an int")],
+                         ids=["0", "2.0", "True"])
+def test_run_suite_refuses_order_zero(order, rule):
     # at order 0 every twist is 1 (x) 1, so every check would pass
-    with pytest.raises(ValueError, match="order must be at least 1"):
-        run_suite(order=0)
+    with pytest.raises(ValueError, match="order must be " + rule):
+        run_suite(order=order)
