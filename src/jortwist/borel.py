@@ -15,7 +15,6 @@ every equality below is an equality of truncated series.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .exactalg import MAX_LEGS, DPoly, UPoly
 
@@ -321,14 +320,18 @@ def series_apply(coeffs, a):
 
 
 def exp_series(a):
-    coeffs = [Fraction(1, math.factorial(k)) for k in range(a.truncation + 1)]
+    """exp(a) for a of minimum grade >= 1: the coefficient 1/k! is a
+    rational scalar with denominator k!."""
+    coeffs = [DPoly.from_num(0, {0: 1}, math.factorial(k))
+              for k in range(a.truncation + 1)]
     return series_apply(coeffs, a)
 
 
 def log1p_series(a):
-    """log(1 + a) for a of minimum grade >= 1."""
-    coeffs = [Fraction(0)] + [Fraction((-1) ** (k + 1), k)
-                              for k in range(1, a.truncation + 1)]
+    """log(1 + a) for a of minimum grade >= 1: the coefficient
+    (-1)^(k+1)/k is a rational scalar with denominator k."""
+    coeffs = [0] + [DPoly.from_num(0, {0: (-1) ** (k + 1)}, k)
+                    for k in range(1, a.truncation + 1)]
     return series_apply(coeffs, a)
 
 

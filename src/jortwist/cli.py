@@ -24,7 +24,6 @@ else:
 
 import argparse
 import json
-from fractions import Fraction
 from itertools import groupby
 
 from .exactalg import MAX_DEGREE, MAX_LEGS, DPoly, UPoly
@@ -40,8 +39,8 @@ def element_to_dict(e):
     terms = []
     for (grade, key), group in groupby(e.monomials(), key=lambda m: m[:2]):
         dpoly = [{"exps": list(exps),
-                  "upoly": [[deg, "%d/%d" % (c.numerator, c.denominator)]
-                            for deg, c in sorted(coef.coeffs.items())]}
+                  "upoly": [[deg, "%d/%d" % (n, d)]
+                            for deg, n, d in coef.ratios()]}
                  for _, _, exps, coef in group]
         terms.append({"kappa_power": grade,
                       "legs": [{"p": p, "q": q} for p, q in key],
@@ -88,6 +87,8 @@ def _unique(key, seen, path):
 def element_from_dict(data):
     """Inverse of element_to_dict.  Malformed data raises ValueError naming
     the field at fault, e.g. terms[2].dpoly[0].exps."""
+    from fractions import Fraction
+
     from .borel import TensorElement
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object, got %r" % (data,))
@@ -135,10 +136,13 @@ def element_from_dict(data):
 
 
 def _coef_str(coef):
+    """str(coef), in parentheses when it has several terms, a u-term with a
+    coefficient other than 1, or a leading minus and more than two
+    characters."""
     s = str(coef)
-    coeffs = coef.coeffs
-    if len(coeffs) > 1 or (coeffs and 0 not in coeffs
-                           and set(coeffs.values()) != {Fraction(1)}):
+    ratios = coef.ratios()
+    if len(ratios) > 1 or (ratios and ratios[0][0]
+                           and ratios[0][1:] != (1, 1)):
         return "(%s)" % s
     if s.startswith("-") and len(s) > 2:
         return "(%s)" % s
@@ -174,10 +178,23 @@ def element_to_text(e, ascii_only=False):
 # ---------------------------------------------------------------------------
 
 def _parse_u(text):
+    """None for "symbolic", else the rational `text` as a constant UPoly.
+    ASCII [+-]digits[/digits] with a nonzero denominator is read with
+    int(); any other text goes to Fraction(text), so every value and every
+    error message is the one Fraction gives."""
     if text == "symbolic":
         return None
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
     try:
-        return Fraction(text)
+        if (text.isascii() and digits.isdigit()
+                and (den.isdigit() or not slash) and int(den or 1)):
+            return DPoly.from_num(0, {0: int(num)}, int(den or 1))
+    except ValueError:  # past int()'s digit limit, which Fraction reports
+        pass
+    from fractions import Fraction
+    try:
+        return UPoly.const(Fraction(text))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(
             "bad rational %r: zero denominator" % (text,)) from None
@@ -204,6 +221,8 @@ def _expand_arguments(p):
                    help="'symbolic' (default) or a rational like 1/2; "
                         "families %s only"
                         % " and ".join(twists.INTERPOLATING))
+    p.add_argument("--ascii", action="store_true",
+                   help="ASCII-only text output")
 
 
 def _verify_arguments(p):
@@ -227,8 +246,6 @@ def _identities_arguments(p):
 def _output_arguments(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write output to this file")
-    p.add_argument("--ascii", action="store_true",
-                   help="ASCII-only text output")
 
 
 def _build_parser(command=None):

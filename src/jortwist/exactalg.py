@@ -4,14 +4,17 @@ interpolation parameter u and the commuting dilatation variables x, y, z.
 All coefficients are exact rationals; there is no floating point anywhere
 in this package.  A DPoly keeps integer numerators over one denominator,
 so its operations sum plain integers and reduce each result by at most one
-gcd; Fractions appear only at the edges (construction, evaluation,
-output).  A UPoly, a polynomial in u alone, is the DPoly with no legs.
+gcd.  A UPoly, a polynomial in u alone, is the DPoly with no legs; a
+rational scalar is a UPoly of degree 0.  An exact rational given to the
+kernel is read through its int numerator and denominator, and the writers
+print from the ints, so this module never imports `fractions`: only
+`DPoly.evaluate`, `UPoly.__call__` and `UPoly.coeffs` return Fractions, and
+each imports the module when it is called.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 MAX_LEGS = 3
 VAR_NAMES = ("x", "y", "z")
@@ -26,12 +29,20 @@ MAX_DEGREE = _TOP - 1  # the largest exponent or u-degree a key holds
 _GUARD = 0x8000_8000_8000_8000
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError("expected an integer or Fraction, got %r" % (value,))
+def _ratio(value):
+    """(numerator, denominator) of an exact rational, an int or a Fraction,
+    read through its int numerator and denominator; a float or a Decimal,
+    which has neither, raises TypeError."""
+    n = getattr(value, "numerator", None)
+    d = getattr(value, "denominator", None)
+    if type(n) is not int or type(d) is not int:
+        raise TypeError("expected an integer or Fraction, got %r" % (value,))
+    return n, d
+
+
+def _is_scalar(p):
+    """p is a constant UPoly (zero included): a rational scalar."""
+    return not p.legs and not any(p.num)
 
 
 class DPoly:
@@ -52,8 +63,8 @@ class DPoly:
     __slots__ = ("legs", "num", "den")
 
     def __init__(self, legs, terms=None):
-        """From {exps: coefficient}, a coefficient being an int, a Fraction
-        or a UPoly."""
+        """From {exps: coefficient}, a coefficient being an exact rational
+        (an int or a Fraction) or a UPoly."""
         if type(legs) is not int or not 1 <= legs <= MAX_LEGS:
             raise ValueError("legs must be between 1 and %d, got %r"
                              % (MAX_LEGS, legs))
@@ -67,9 +78,9 @@ class DPoly:
                 key = sum(e << _W * i for i, e in enumerate(exps, 1))
                 if isinstance(c, UPoly):
                     for deg, v in c.num.items():
-                        coefs[key + deg] = Fraction(v, c.den)
+                        coefs[key + deg] = v, c.den
                 else:
-                    coefs[key] = c
+                    coefs[key] = _ratio(c)
         self.legs = legs
         self.num, self.den = _over_lcm(coefs)
 
@@ -85,11 +96,11 @@ class DPoly:
 
     @staticmethod
     def const(legs, value):
-        """A number or a UPoly, on `legs` legs."""
+        """An exact rational or a UPoly, on `legs` legs."""
         if isinstance(value, UPoly):
             return DPoly.from_num(legs, value.num, value.den)
-        value = _as_fraction(value)
-        return DPoly.from_num(legs, {0: value.numerator}, value.denominator)
+        n, d = _ratio(value)
+        return DPoly.from_num(legs, {0: n}, d)
 
     @classmethod
     def variable(cls, legs, index):
@@ -123,10 +134,11 @@ class DPoly:
         return self.legs or other.legs
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DPoly.const(self.legs, other)
-        elif not isinstance(other, DPoly):
-            return NotImplemented
+        if not isinstance(other, DPoly):
+            try:
+                other = DPoly.const(self.legs, other)
+            except TypeError:
+                return NotImplemented
         return ((self.legs == other.legs or not (self.legs and other.legs))
                 and self.den == other.den and self.num == other.num)
 
@@ -169,14 +181,23 @@ class DPoly:
         return (-self)._plus(other, 1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            n = other.numerator
-            return DPoly.from_num(self.legs,
-                                  {k: v * n for k, v in self.num.items()},
-                                  self.den * other.denominator)
+        """The product.  A rational scalar on either side, an exact rational
+        or a constant UPoly, scales the other factor's numerators and
+        denominator, with no DPoly.dot."""
         if not isinstance(other, DPoly):
-            return NotImplemented
-        return self.dot(self._legs_with(other), [(self, other)])
+            try:
+                n, d = _ratio(other)
+            except TypeError:
+                return NotImplemented
+        elif _is_scalar(other):
+            n, d = other.num.get(0, 0), other.den
+        elif _is_scalar(self):
+            self, n, d = other, self.num.get(0, 0), self.den
+        else:
+            return self.dot(self._legs_with(other), [(self, other)])
+        return DPoly.from_num(self.legs,
+                              {k: v * n for k, v in self.num.items()},
+                              self.den * d)
 
     __rmul__ = __mul__
 
@@ -291,7 +312,8 @@ class DPoly:
 
     def evaluate(self, point, u_value=0):
         """Exact value at a rational point (one entry per variable), with u
-        at u_value."""
+        at u_value, as a Fraction."""
+        from fractions import Fraction
         if len(point) != self.legs:
             raise ValueError("point must assign every variable")
         values = (u_value, *point)
@@ -342,14 +364,15 @@ class UPoly(DPoly):
     __slots__ = ()
 
     def __init__(self, coeffs=None):
-        """From {degree: coefficient}, a coefficient being an int or a
-        Fraction."""
+        """From {degree: coefficient}, a coefficient being an exact rational
+        (an int or a Fraction)."""
         coeffs = coeffs or {}
         for deg in coeffs:
             if type(deg) is not int or not 0 <= deg < _TOP:
                 raise ValueError("bad degree %r in UPoly" % (deg,))
         self.legs = 0
-        self.num, self.den = _over_lcm(coeffs)
+        self.num, self.den = _over_lcm({deg: _ratio(c)
+                                        for deg, c in coeffs.items()})
 
     @staticmethod
     def const(value):
@@ -362,7 +385,17 @@ class UPoly(DPoly):
     @property
     def coeffs(self):
         """{degree: Fraction}: a fresh read-only view."""
+        from fractions import Fraction
         return {deg: Fraction(v, self.den) for deg, v in self.num.items()}
+
+    def ratios(self):
+        """[(degree, numerator, denominator)] by degree, each coefficient in
+        lowest terms: what the writers print, read off the ints."""
+        out = []
+        for deg, v in sorted(self.num.items()):
+            g = math.gcd(v, self.den)
+            out.append((deg, v // g, self.den // g))
+        return out
 
     # perfbench/tracer.py times these six apart from DPoly's methods and
     # keys its wrappers by function object, so each is a function of its
@@ -389,20 +422,13 @@ class UPoly(DPoly):
         return "UPoly(%r)" % (self.coeffs,)
 
     def __str__(self):
-        coeffs = self.coeffs
         out = ""
-        for deg in sorted(coeffs, reverse=True):
-            c = coeffs[deg]
-            if deg == 0:
-                mono = str(c)
-            else:
+        for deg, n, d in reversed(self.ratios()):
+            mono = "%d" % n if d == 1 else "%d/%d" % (n, d)
+            if deg:
                 uv = "u" if deg == 1 else "u^%d" % deg
-                if c == 1:
-                    mono = uv
-                elif c == -1:
-                    mono = "-" + uv
-                else:
-                    mono = "%s*%s" % (c, uv)
+                mono = (uv if mono == "1" else "-" + uv if mono == "-1"
+                        else "%s*%s" % (mono, uv))
             out += "+" + mono if out and mono[0] != "-" else mono
         return out or "0"
 
@@ -416,11 +442,10 @@ def _unguarded(acc):
 
 
 def _over_lcm(coefs):
-    """(num, den) of {packed key: int or Fraction} in canonical form."""
-    coefs = {k: _as_fraction(v) for k, v in coefs.items()}
-    den = math.lcm(*{v.denominator for v in coefs.values()})
-    return _reduced({k: v.numerator * (den // v.denominator)
-                     for k, v in coefs.items()}, den)
+    """(num, den) of {packed key: (numerator, denominator)} in canonical
+    form."""
+    den = math.lcm(*{d for _, d in coefs.values()})
+    return _reduced({k: n * (den // d) for k, (n, d) in coefs.items()}, den)
 
 
 def _reduced(acc, den):
@@ -439,9 +464,7 @@ def _reduced(acc, den):
 def _ratio_powers(v, m):
     """[a^e * b^(m-e) for e in 0..m] for v = a/b: the numerators of v^e
     over the common denominator b^m, which is the first entry."""
-    if not isinstance(v, (int, Fraction)):
-        raise TypeError("expected an integer or Fraction, got %r" % (v,))
-    a, b = v.numerator, v.denominator
+    a, b = _ratio(v)
     out = [b**m]
     for _ in range(m):
         out.append(out[-1] // b * a)
@@ -484,7 +507,8 @@ def binom_poly(T, k):
         res = DPoly.const(T.legs, 1)
         for j in range(k):
             res = res * (T - j)
-        res = _BINOM[key] = res * Fraction(1, math.factorial(k))
+        res = _BINOM[key] = DPoly.from_num(res.legs, res.num,
+                                           res.den * math.factorial(k))
     return res
 
 

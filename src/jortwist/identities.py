@@ -11,7 +11,6 @@ verify_identity_chain keeps only the count and the first failure.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import product
 
 from .exactalg import MAX_DEGREE, MAX_LEGS, DPoly, UPoly, binom_poly, int_binom
@@ -259,7 +258,9 @@ def verify_identity_chain(chain, bound=None):
 def independence_matrix(n):
     """Rows: coefficients of (u-1)^k u^(n-k) in the basis u^n, ..., u, 1;
     the u^d term of p_k = (u-1)^k = p_(k-1)*(u-1) lands in column k-d.  A
-    row with a term above u^n, which no column holds, raises ValueError."""
+    row with a term above u^n, which no column holds, raises ValueError.
+    The entries are Fractions."""
+    from fractions import Fraction
     rows, p, zero = [], UPoly.const(1), Fraction(0)
     step = UPoly.u() - 1
     for k in range(n + 1):
@@ -287,7 +288,7 @@ def independence_det(n):
     is on the diagonal.  An order outside 0..MAX_DEGREE, or a row with a
     term right of the diagonal or above u^n, raises ValueError."""
     _refuse_order(n)
-    det = Fraction(1)
+    det = 1  # a Fraction from row 0 on, as every entry is
     for k, row in enumerate(independence_matrix(n)):
         if any(row[k + 1:]):
             raise ValueError("row %d has a term below u^%d" % (k, n - k))

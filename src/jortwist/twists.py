@@ -10,8 +10,6 @@ F0 (momentum side) and F1 (dilatation side), closed in both directions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactalg import DPoly, UPoly, binom_poly
 from .borel import (TensorElement, exp_series, first_difference,
                     geometric_inverse, log1p_series, sum_of_products)
@@ -22,8 +20,20 @@ FORMS = ("product", "closed", "inverted-closed")
 
 
 def _usym(u):
-    """The parameter u as a coefficient: symbolic (UPoly) or a rational."""
-    return UPoly.u() if u is None else Fraction(u)
+    """The parameter u as a coefficient: UPoly.u() when u is None
+    (symbolic), else the exact rational u (an int, a Fraction or a constant
+    UPoly) as a constant UPoly.  Any other u, a float or a Decimal
+    included, raises ValueError."""
+    if u is None:
+        return UPoly.u()
+    try:
+        uu = UPoly.const(u)
+    except TypeError:
+        pass
+    else:
+        if not any(uu.num):
+            return uu
+    raise ValueError("u must be None or an exact rational, got %r" % (u,))
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +45,7 @@ def _closed_F0(N, inverse=False):
     y = DPoly.variable(2, 2) if inverse else -DPoly.variable(2, 2)
     terms = {}
     for k in range(N + 1):
-        terms[((k, 0), (0, 0))] = binom_poly(y, k) * Fraction((-1) ** k)
+        terms[((k, 0), (0, 0))] = binom_poly(y, k) * (-1) ** k
     return TensorElement(2, N, terms)
 
 
@@ -251,7 +261,7 @@ def _params(family, N, u=None, **extra):
     if family is not None:
         p["family"] = family
     p["order"] = N
-    p["u"] = "symbolic" if u is None else str(Fraction(u))
+    p["u"] = "symbolic" if u is None else str(_usym(u))
     return p
 
 
@@ -434,12 +444,15 @@ def run_suite(checks=None, order=None, family=None, u=None):
     the reports in order; each check runs at `order`, or at its own default
     order.  The reports of a check that does not apply a given `family` or
     `u` carry the note "family not applied" or "u not applied".  An order
-    below 1, where every check would pass, or not an int raises ValueError."""
+    below 1, where every check would pass, or not an int raises ValueError,
+    as does a u that is neither None nor an exact rational."""
     if order is not None and type(order) is not int:
         raise ValueError("order must be an int, got %r" % (order,))
     if order is not None and order < 1:
         raise ValueError("order must be at least 1: at order 0 every twist "
                          "is 1 (x) 1")
+    if u is not None:
+        _usym(u)  # refused even where no selected check applies u
     selected = list(dict.fromkeys(checks or CHECKS))
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:

@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +45,22 @@ def random_element(rng, legs=1, truncation=3, max_terms=4,
 @pytest.fixture
 def rng():
     return random.Random(987654)
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """perfbench/run.py as a module, read and never changed.  It imports its
+    sibling tracer.py by plain name, and its dataclass needs the module
+    registered while it executes."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  perfbench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.modules.pop(spec.name, None)
+        sys.path.remove(str(perfbench))

@@ -122,6 +122,50 @@ class TestExpand:
                        "bad rational '3/0': zero denominator")
 
 
+def _fraction_parse_u(text):
+    """--u as Fraction alone reads it, the reference for cli._parse_u: the
+    value, or the ArgumentTypeError that argparse reports."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            "bad rational %r: zero denominator" % (text,)) from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("bad rational %r: %s" % (text, exc))
+
+
+@pytest.mark.parametrize("text", [
+    "2/5", "-3/2", "+7", "0", "007/014", "1/0", " 1/3 ", "1_0/3", "0.25",
+    "1e-2", "\u0663/\u0664", "abc", "2/-5", "",
+    pytest.param("9" * 5000, id="past-the-int-digit-limit"),
+])
+def test_parse_u_reads_what_fraction_reads(text):
+    # plain ASCII ratios are read with int(), everything else by Fraction
+    try:
+        want = _fraction_parse_u(text)
+    except argparse.ArgumentTypeError as exc:
+        with pytest.raises(argparse.ArgumentTypeError) as got:
+            cli._parse_u(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = cli._parse_u(text)
+        assert got == want
+        assert got.legs == 0 and not any(got.num)  # a constant UPoly
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "lr", "--order", "1", "--ascii"],
+    ["identities", "--det", "2", "--ascii"],
+])
+def test_ascii_is_an_expand_option_only(argv, capsys):
+    # only expand writes Unicode text
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "jortwist: error: unrecognized arguments: --ascii")
+
+
 class TestVerify:
     def test_single_check_passes(self, capsys):
         code, out = run(["verify", "--check", "cocycle", "--family", "L",

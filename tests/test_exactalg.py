@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,82 @@ class TestNoLegs:
             assert vars(UPoly)[name] is not vars(DPoly)[name]
 
 
+class TestRationalScalars:
+    """A rational scalar is read off ints: any exact rational through its
+    numerator and denominator, a constant UPoly like the rational it holds,
+    with no DPoly.dot; the writers print from the ints, and only evaluate,
+    __call__ and coeffs make Fractions."""
+
+    random_poly = staticmethod(TestEvaluateAgainstNaive.random_poly)
+
+    def test_a_constant_upoly_scales_like_its_rational_without_dot(
+            self, rng, monkeypatch):
+        cases = []
+        for _ in range(30):
+            legs = rng.randint(0, 3)
+            a = (self.random_poly(rng, legs) if legs
+                 else random_upoly(rng, max_deg=3))
+            c = rng.choice(TestIntegerKernel.RATIONALS + (0,))
+            cases.append((a, c, DPoly.dot(a.legs, [(a, DPoly.const(0, c))])))
+
+        def no_dot(legs, pairs):
+            raise AssertionError("a rational scalar went through DPoly.dot")
+
+        monkeypatch.setattr(DPoly, "dot", staticmethod(no_dot))
+        for a, c, want in cases:
+            k = UPoly.const(c)
+            for got in (a * c, c * a, a * k, k * a):
+                assert type(got) is type(a) and got.legs == a.legs
+                assert (got.den, got.num) == (want.den, want.num)
+
+    def test_any_exact_rational_is_read_through_its_ints(self):
+        class Half(Fraction):
+            pass
+
+        assert DPoly.const(1, Half(1, 2)) == DPoly.const(1, Fraction(1, 2))
+        assert UPoly({0: Half(1, 2), 1: True}) == UPoly({0: Fraction(1, 2),
+                                                         1: 1})
+        x = var(1, 1)
+        for bad in (0.5, Decimal("0.5"), "1/2"):
+            for make in (lambda: DPoly.const(1, bad), lambda: UPoly({0: bad}),
+                         lambda: DPoly(1, {(0,): bad}), lambda: x + bad,
+                         lambda: x.specialize_u(bad)):
+                with pytest.raises(TypeError, match="integer or Fraction"):
+                    make()
+            with pytest.raises(TypeError):
+                x * bad
+            assert x != bad
+
+    def test_ratios_are_the_coefficients_in_lowest_terms(self, rng):
+        for _ in range(40):
+            p = random_upoly(rng, 4) * rng.choice(TestIntegerKernel.RATIONALS)
+            assert p.ratios() == [(deg, c.numerator, c.denominator)
+                                  for deg, c in sorted(p.coeffs.items())]
+
+    def test_str_is_the_fraction_rendering(self, rng):
+        def from_fractions(p):
+            out = ""
+            for deg, c in sorted(p.coeffs.items(), reverse=True):
+                uv = "u" if deg == 1 else "u^%d" % deg
+                mono = (str(c) if deg == 0 else uv if c == 1
+                        else "-" + uv if c == -1 else "%s*%s" % (c, uv))
+                out += "+" + mono if out and mono[0] != "-" else mono
+            return out or "0"
+
+        polys = [UPoly(), UPoly({0: -1}), UPoly({1: 1}), UPoly({1: -1, 3: 2})]
+        for _ in range(60):
+            polys.append(UPoly({deg: rng.choice((1, -1, 2, -12, Fraction(
+                rng.randint(-9, 9), rng.randint(1, 9)))) for deg in
+                rng.sample(range(5), rng.randint(1, 4))}))
+        for p in polys:
+            assert str(p) == from_fractions(p)
+
+    def test_evaluation_and_views_return_fractions(self):
+        p = UPoly({0: Fraction(1, 2), 2: 3})
+        assert type(p(2)) is type(p.coeffs[0]) is Fraction
+        assert type(DPoly.const(2, p).evaluate((1, 2), 3)) is Fraction
+
+
 def built_from(legs, contributions):
     """The DPoly summing (exps, u-degree, value) contributions, built by
     the constructors alone, which drop zeros."""
@@ -564,6 +641,8 @@ class TestCanonicalForm:
         yield "scalar", a * c
         yield "scalar-zero", a * 0
         yield "upoly", a * UPoly({0: c, 1: Fraction(1, 6)})
+        yield "constant-upoly", UPoly.const(c) * a
+        yield "zero-upoly", a * UPoly()
         yield "mixed-scalars", a * 6 - a * Fraction(1, 2) + a
         yield "substitute", a.substitute_linear(
             [rng.choice((1, -1)) for _ in range(legs)],

@@ -1,6 +1,9 @@
 """What each CLI process loads: a command run as a program imports only the
 modules it runs and builds only its own arguments; a library import of
-`jortwist.cli` loads every module; the package's public names resolve."""
+`jortwist.cli` loads every module; the package's public names resolve.
+Neither loads `fractions` (nor `decimal`, which it imports): the kernel's
+ints are the only rationals of a run, and a `--u` that is not a plain
+ratio loads `fractions` on demand."""
 
 import json
 import os
@@ -16,6 +19,12 @@ SRC = Path(cli.__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
 MODULES = ["jortwist." + m for m in ("borel", "cli", "exactalg", "identities",
                                      "report", "twists")]
+# what loaded() reports: the package's modules and these two
+PROBED = "m.startswith('jortwist.') or m in ('decimal', 'fractions')"
+TWIST_SIDE = ["jortwist.borel", "jortwist.exactalg", "jortwist.report",
+              "jortwist.twists"]
+IDENTITIES_SIDE = ["jortwist.exactalg", "jortwist.identities",
+                   "jortwist.report"]
 
 
 def python(*args):
@@ -27,13 +36,14 @@ def python(*args):
 
 
 def loaded(argv):
-    """The jortwist modules in sys.modules when the program `jortwist.cli`
-    exits after running argv (run as `python -m jortwist.cli` runs it)."""
+    """The jortwist modules, and `decimal` and `fractions` if loaded, in
+    sys.modules when the program `jortwist.cli` exits after running argv
+    (run as `python -m jortwist.cli` runs it)."""
     probe = ("import atexit, runpy, sys; atexit.register(lambda: "
              "sys.stderr.write(repr(sorted(m for m in sys.modules "
-             "if m.startswith('jortwist.'))))); "
+             "if %s)))); "
              "runpy.run_module('jortwist.cli', run_name='__main__', "
-             "alter_sys=True)")
+             "alter_sys=True)" % PROBED)
     _, err = python("-c", probe, *argv)
     return err
 
@@ -42,26 +52,49 @@ def test_identities_run_loads_neither_borel_nor_twists():
     argv = ["identities", "--chain", "R", "--bound", "0", "--format", "json"]
     _, err = python("-X", "importtime", "-m", "jortwist.cli", *argv)
     assert "jortwist.borel" not in err and "jortwist.twists" not in err
-    assert loaded(argv) == repr(["jortwist.exactalg", "jortwist.identities",
-                                 "jortwist.report"])
+    assert loaded(argv) == repr(IDENTITIES_SIDE)
 
 
 @pytest.mark.parametrize("argv", [
     ["expand", "--family", "R", "--order", "1", "--format", "json"],
+    ["expand", "--family", "L", "--order", "3", "--u", "-2/5"],
     ["verify", "--check", "lr", "--order", "1", "--format", "json"],
+    ["verify", "--all", "--order", "2"],
     ["--help"],
 ])
 def test_twist_runs_do_not_load_identities(argv):
     _, err = python("-X", "importtime", "-m", "jortwist.cli", *argv)
     assert "jortwist.identities" not in err
-    assert loaded(argv) == repr(["jortwist.borel", "jortwist.exactalg",
-                                 "jortwist.report", "jortwist.twists"])
+    assert loaded(argv) == repr(TWIST_SIDE)
+
+
+def test_benchmark_operations_load_neither_fractions_nor_decimal(bench_run):
+    # every operation of every workload, at each u the workloads draw
+    workloads = [w["name"] for w in json.loads(
+        (SRC.parent / "BENCHMARK.json").read_text())["workloads"]]
+    argvs = {op.argv for name in workloads
+             for op in bench_run.workload_ops(name, 1)}
+    argvs |= {op.argv for u in bench_run.U_SET
+              for op in bench_run.series_ops(u)}
+    found = {" ".join(argv): loaded(argv) for argv in sorted(argvs)}
+    assert len(found) > len(bench_run.U_SET) * 2
+    for argv, modules in found.items():
+        side = IDENTITIES_SIDE if argv.startswith("identities") else TWIST_SIDE
+        assert modules == repr(side), argv
+
+
+def test_a_u_in_decimal_notation_loads_fractions_on_demand():
+    argv = ["expand", "--family", "R", "--order", "3", "--format", "json"]
+    out, _ = python("-m", "jortwist.cli", *argv, "--u", "0.4")
+    assert out == python("-m", "jortwist.cli", *argv, "--u", "2/5")[0]
+    assert loaded(argv + ["--u", "0.4"]) == repr(["decimal", "fractions"]
+                                                 + TWIST_SIDE)
 
 
 def test_library_import_loads_every_module():
     # perfbench/tracer.py wraps what `import jortwist.cli` has loaded
     out, _ = python("-c", "import sys, jortwist.cli; print(sorted(m for m in "
-                          "sys.modules if m.startswith('jortwist.')))")
+                          "sys.modules if %s))" % PROBED)
     assert out.decode().strip() == repr(MODULES)
 
 

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,8 @@ def D(n):
 
 
 U = UPoly.u()
+# u values that are not exact rationals (None is symbolic u)
+NOT_EXACT = (0.5, 0.1, Decimal("0.5"), "1/2", U)
 
 
 class TestBuildTwist:
@@ -77,6 +80,11 @@ class TestBuildTwist:
         for N in (-1, 2.0, True):
             with pytest.raises(ValueError, match="nonnegative int, got"):
                 build_twist("L", "twist", N)
+        # floats never enter the algebra: a u that is not exact is refused
+        for u in NOT_EXACT:
+            for form in (None,) + twists.FORMS[:2]:
+                with pytest.raises(ValueError, match="exact rational, got"):
+                    build_twist("L", "twist", 2, u=u, form=form)
 
     @pytest.mark.parametrize("family", ["0", "1"])
     def test_u_for_an_endpoint_family_raises(self, family):
@@ -650,3 +658,17 @@ def test_run_suite_refuses_order_zero(order, rule):
     # at order 0 every twist is 1 (x) 1, so every check would pass
     with pytest.raises(ValueError, match="order must be " + rule):
         run_suite(order=order)
+
+
+@pytest.mark.parametrize("u", NOT_EXACT, ids=repr)
+def test_run_suite_and_the_checks_refuse_a_u_that_is_not_exact(u):
+    # a check that does not apply u refuses it too, before any check runs
+    for name in twists.CHECKS:
+        with pytest.raises(ValueError, match="exact rational, got"):
+            run_suite([name], 2, u=u)
+    for check in (check_normalization, check_cocycle, check_form_equality,
+                  check_hopf_data):
+        with pytest.raises(ValueError, match="exact rational, got"):
+            check("R", 2, u)
+    with pytest.raises(ValueError, match="exact rational, got"):
+        check_LR_relation(2, u)
