@@ -321,12 +321,6 @@ def _cmd_expand(args, parser):
 def _cmd_verify(args, parser):
     if not args.run_all and not args.checks:
         parser.error("give --all or at least one --check")
-    names = twists.CHECKS if args.run_all else args.checks
-    for opt in ("family", "u"):
-        if (getattr(args, opt) is not None
-                and not any(opt in twists.CHECKS[n][1] for n in names)):
-            parser.error("--%s applies to none of the checks %s"
-                         % (opt, ", ".join(dict.fromkeys(names))))
     reports = twists.run_suite(checks=None if args.run_all else args.checks,
                                order=args.order, family=args.family, u=args.u)
     return _emit_reports(reports, args)

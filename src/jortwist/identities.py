@@ -259,15 +259,15 @@ def independence_matrix(n):
     """Rows: coefficients of (u-1)^k u^(n-k) in the basis u^n, ..., u, 1;
     the u^d term of p_k = (u-1)^k = p_(k-1)*(u-1) lands in column k-d.  A
     row with a term above u^n, which no column holds, raises ValueError.
-    The entries are Fractions."""
-    from fractions import Fraction
-    rows, p, zero = [], UPoly.const(1), Fraction(0)
+    The entries are ints: (u-1)^k has integer coefficients, so each row is
+    read off the numerators of p_k, whose denominator is 1."""
+    rows, p = [], UPoly.const(1)
     step = UPoly.u() - 1
     for k in range(n + 1):
-        coeffs = p.coeffs
+        coeffs = p.num
         if max(coeffs, default=0) > k:
             raise ValueError("row %d has a term above u^%d" % (k, n))
-        rows.append([coeffs.get(k - m, zero) for m in range(n + 1)])
+        rows.append([coeffs.get(k - m, 0) for m in range(n + 1)])
         p = p * step
     return rows
 
@@ -288,7 +288,7 @@ def independence_det(n):
     is on the diagonal.  An order outside 0..MAX_DEGREE, or a row with a
     term right of the diagonal or above u^n, raises ValueError."""
     _refuse_order(n)
-    det = 1  # a Fraction from row 0 on, as every entry is
+    det = 1
     for k, row in enumerate(independence_matrix(n)):
         if any(row[k + 1:]):
             raise ValueError("row %d has a term below u^%d" % (k, n - k))

@@ -16,7 +16,7 @@ from .borel import (TensorElement, exp_series, first_difference,
 from .report import VerificationReport, merge_reports
 
 DIRECTIONS = ("twist", "inverse")
-FORMS = ("product", "closed", "inverted-closed")
+FORMS = ("product",)
 
 
 def _usym(u):
@@ -139,12 +139,13 @@ def build_twist(family, direction, N, u=None, form=None):
     """The twist (direction "twist") or its inverse ("inverse") of a family
     to order N, at a rational u or with u symbolic (None); an endpoint
     family has no u, and refuses one; N must be a nonnegative int.  form=None
-    means the series: "closed" in the direction the paper prints (either, for
-    an endpoint family), else "inverted-closed", the inverse of the other
-    direction's closed form."""
-    if family not in FAMILIES or direction not in DIRECTIONS:
-        raise ValueError("unknown family or direction %r, %r"
-                         % (family, direction))
+    means the series: the closed series in the direction the paper prints
+    (either, for an endpoint family), else the geometric inverse of the
+    printed one; form="product" is an interpolating family's product form."""
+    if (family not in FAMILIES or direction not in DIRECTIONS
+            or form not in (None,) + FORMS):
+        raise ValueError("unknown family, direction or form %r, %r, %r"
+                         % (family, direction, form))
     if type(N) is not int or N < 0:
         raise ValueError("truncation order must be a nonnegative int, got %r"
                          % (N,))
@@ -152,17 +153,15 @@ def build_twist(family, direction, N, u=None, form=None):
         raise ValueError("u applies to families %s only; family %s has no u"
                          % (" and ".join(INTERPOLATING), family))
     inverse = direction == "inverse"
-    if family in ENDPOINTS and form in (None, "closed"):
+    if family in ENDPOINTS:
+        if form:
+            raise ValueError("family %s has no %s form" % (family, form))
         return ENDPOINTS[family](N, inverse)
-    if family in INTERPOLATING:
-        c, printed, series = INTERPOLATING[family]
-        own = "closed" if direction == printed else "inverted-closed"
-        if form == "product":
-            return _product_family(c, N, u, inverse)
-        if form in (None, own):
-            closed = series(N, u)
-            return closed if own == "closed" else geometric_inverse(closed)
-    raise ValueError("family %s has no %s %s form" % (family, direction, form))
+    c, printed, series = INTERPOLATING[family]
+    if form:
+        return _product_family(c, N, u, inverse)
+    closed = series(N, u)
+    return closed if direction == printed else geometric_inverse(closed)
 
 
 def _transcribed(family):
@@ -312,29 +311,23 @@ def check_cocycle(family, N, u=None):
 
 
 def check_endpoints(family, N):
-    """u=0 and u=1 specializations hit F0 and F1 (and their inverses).
+    """u=0 and u=1 specializations of the printed series hit F0 and F1, or
+    F0^-1 and F1^-1 where the paper prints the inverse.
 
-    The family's transcribed series is built with symbolic u and
-    specialized; the other direction is obtained by inverting the
-    specialized element, which commutes with the specialization and keeps
-    the arithmetic rational.  Family "0" is the u=0 end, family "1" the u=1
-    end.
+    The series is built with symbolic u and specialized.  The other
+    direction is its inverse, so it meets the inverses of these ends; it is
+    not compared.  Family "0" is the u=0 end, family "1" the u=1 end.
     """
     if family not in INTERPOLATING:
         raise ValueError("endpoint check applies to families L and R")
-    transcribed = _transcribed(family)
-    series = build_twist(family, transcribed, N)
-    ends = {end: series.specialize_u(int(end)) for end in ENDPOINTS}
-    reps = []
-    for direction in DIRECTIONS:
-        for end, at in ends.items():
-            if direction != transcribed:
-                at = geometric_inverse(at)
-            power = "" if direction == "twist" else "^-1"
-            reps.append(_compare(
-                "endpoints", {}, at, build_twist(end, direction, N),
-                ["u=%s: %s equals F%s%s" % (end, direction, end, power)]))
-    return merge_reports("endpoints", _params(family, N), reps)
+    direction = _transcribed(family)
+    series = build_twist(family, direction, N)
+    power = "" if direction == "twist" else "^-1"
+    return merge_reports("endpoints", _params(family, N), [
+        _compare("endpoints", {}, series.specialize_u(int(end)),
+                 build_twist(end, direction, N),
+                 ["u=%s: %s equals F%s%s" % (end, direction, end, power)])
+        for end in ENDPOINTS])
 
 
 def check_form_equality(family, N, u=None):
@@ -344,7 +337,7 @@ def check_form_equality(family, N, u=None):
     direction = _transcribed(family)
     return _compare("forms", _params(family, N, u),
                     build_twist(family, direction, N, u, "product"),
-                    build_twist(family, direction, N, u, "closed"),
+                    build_twist(family, direction, N, u),
                     ["%s: product equals closed" % direction])
 
 
@@ -388,10 +381,11 @@ def check_hopf_data(family, N, u=None):
 
 
 def check_LR_relation(N, u=None):
-    """F_R^-1 = F_L^-1 (1 (x) 1 + u(1-u)/kappa^2 P (x) P)^-1."""
-    lhs = build_twist("R", "inverse", N, u)
-    rhs = build_twist("L", "inverse", N, u) * lr_factor(N, u)
-    return _compare("lr-relation", _params(None, N, u), lhs, rhs)
+    """F_L F_R^-1 = (1 (x) 1 + u(1-u)/kappa^2 P (x) P)^-1, on the two series
+    the paper prints; F_L has grade-0 part 1, so this is the printed
+    F_R^-1 = F_L^-1 (1 (x) 1 + u(1-u)/kappa^2 P (x) P)^-1."""
+    lhs = build_twist("L", "twist", N, u) * build_twist("R", "inverse", N, u)
+    return _compare("lr-relation", _params(None, N, u), lhs, lr_factor(N, u))
 
 
 def check_v_family(N):
@@ -445,25 +439,31 @@ def run_suite(checks=None, order=None, family=None, u=None):
     order.  The reports of a check that does not apply a given `family` or
     `u` carry the note "family not applied" or "u not applied".  An order
     below 1, where every check would pass, or not an int raises ValueError,
-    as does a u that is neither None nor an exact rational."""
+    as do a u that is neither None nor an exact rational and a `family` or
+    `u` that none of the selected checks applies."""
     if order is not None and type(order) is not int:
         raise ValueError("order must be an int, got %r" % (order,))
     if order is not None and order < 1:
         raise ValueError("order must be at least 1: at order 0 every twist "
                          "is 1 (x) 1")
     if u is not None:
-        _usym(u)  # refused even where no selected check applies u
+        _usym(u)  # an inexact u is refused first, whatever the checks
     selected = list(dict.fromkeys(checks or CHECKS))
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
         raise ValueError("unknown check(s) %s" % ", ".join(map(repr, unknown)))
+    given = [opt for opt, value in (("family", family), ("u", u))
+             if value is not None]
+    for opt in given:
+        if not any(opt in CHECKS[name][1] for name in selected):
+            raise ValueError("%s applies to none of the checks %s"
+                             % (opt, ", ".join(selected)))
     families = [family] if family else list(INTERPOLATING)
     reports = []
     for name in selected:
         default_order, applied, run = CHECKS[name]
-        notes = ["%s not applied" % opt
-                 for opt, value in (("family", family), ("u", u))
-                 if value is not None and opt not in applied]
+        notes = ["%s not applied" % opt for opt in given
+                 if opt not in applied]
         for rep in run(families, default_order if order is None else order, u):
             rep.notes += notes
             reports.append(rep)

@@ -25,9 +25,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden.json"
 JSON = ["--format", "json"]
 ARGVS = tuple(
     [["expand", "--family", family] + (["--inverse"] if inverse else [])
-     + ["--form", form, "--order", "5"] + JSON
+     + (["--form", form] if form else []) + ["--order", "5"] + JSON
      for family in twists.FAMILIES for inverse in (False, True)
-     for form in twists.FORMS]
+     for form in (None,) + twists.FORMS]
     + [["expand", "--family", "L", "--order", "5", "--format", "text"],
        ["expand", "--family", "L", "--order", "5", "--format", "text",
         "--ascii"],

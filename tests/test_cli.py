@@ -22,9 +22,8 @@ def run(argv, capsys):
 
 class TestExpand:
     def test_text_first_order(self, capsys):
-        code, out = run(["expand", "--family", "L", "--form", "closed",
-                         "--order", "1", "--u", "symbolic",
-                         "--format", "text"], capsys)
+        code, out = run(["expand", "--family", "L", "--order", "1",
+                         "--u", "symbolic", "--format", "text"], capsys)
         assert code == 0
         assert out.splitlines() == [
             "1 · 1⊗1",
@@ -46,8 +45,8 @@ class TestExpand:
 
     def test_json_rational_u(self, capsys):
         code, out = run(["expand", "--family", "R", "--inverse",
-                         "--form", "closed", "--order", "1",
-                         "--u", "1/2", "--format", "json"], capsys)
+                         "--order", "1", "--u", "1/2", "--format", "json"],
+                        capsys)
         assert code == 0
         data = json.loads(out)
         assert data["schema"] == 1
@@ -208,7 +207,7 @@ class TestVerify:
                 cli.main(["verify", "--check", "vfamily", "--order", "1"]
                          + argv)
             assert exc.value.code == 2
-        assert "--u applies to none of the checks vfamily" in (
+        assert "error: u applies to none of the checks vfamily" in (
             capsys.readouterr().err)
 
     def test_option_a_check_does_not_apply_is_noted(self, capsys):
@@ -359,6 +358,8 @@ def test_negative_order_or_bound_is_a_usage_error(argv, capsys):
     ["identities", "--det", "2", "--bound", "7"],
     ["verify", "--check", "vfamily", "--u", "1/2"],
     ["expand", "--family", "0", "--order", "1", "--form", "product"],
+    ["expand", "--family", "L", "--order", "1", "--form", "closed"],
+    ["expand", "--family", "R", "--order", "1", "--form", "inverted-closed"],
 ])
 def test_usage_error_prints_the_subcommand_usage(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -48,8 +48,11 @@ def loaded(argv):
     return err
 
 
-def test_identities_run_loads_neither_borel_nor_twists():
-    argv = ["identities", "--chain", "R", "--bound", "0", "--format", "json"]
+@pytest.mark.parametrize("argv", [
+    ["identities", "--chain", "R", "--bound", "0", "--format", "json"],
+    ["identities", "--det", "5"],
+], ids=["chain", "det"])
+def test_identities_run_loads_neither_borel_nor_twists(argv):
     _, err = python("-X", "importtime", "-m", "jortwist.cli", *argv)
     assert "jortwist.borel" not in err and "jortwist.twists" not in err
     assert loaded(argv) == repr(IDENTITIES_SIDE)

@@ -39,6 +39,19 @@ U = UPoly.u()
 NOT_EXACT = (0.5, 0.1, Decimal("0.5"), "1/2", U)
 
 
+def recorded_builds(monkeypatch, check):
+    """Run check(), which must pass: (the argument tuples of its
+    build_twist calls, the elements it passed to geometric_inverse)."""
+    builds, inverses = [], []
+    build, inverse = twists.build_twist, twists.geometric_inverse
+    monkeypatch.setattr(twists, "build_twist",
+                        lambda *a: builds.append(a) or build(*a))
+    monkeypatch.setattr(twists, "geometric_inverse",
+                        lambda a: inverses.append(a) or inverse(a))
+    assert check().passed
+    return builds, inverses
+
+
 class TestBuildTwist:
     def test_momentum_side_twist_structure(self):
         # sum_k (-P/kappa)^k (x) binom(-D, k), written out at N=2
@@ -69,12 +82,9 @@ class TestBuildTwist:
                         == sym.specialize_u(u0))
 
     def test_unsupported_combinations_raise(self):
+        assert twists.FORMS == ("product",)
         with pytest.raises(ValueError):
             build_twist("0", "twist", 2, form="product")
-        with pytest.raises(ValueError):
-            build_twist("L", "inverse", 2, form="closed")
-        with pytest.raises(ValueError):
-            build_twist("R", "twist", 2, form="closed")
         with pytest.raises(ValueError):
             build_twist("X", "twist", 2)
         for N in (-1, 2.0, True):
@@ -82,7 +92,7 @@ class TestBuildTwist:
                 build_twist("L", "twist", N)
         # floats never enter the algebra: a u that is not exact is refused
         for u in NOT_EXACT:
-            for form in (None,) + twists.FORMS[:2]:
+            for form in (None,) + twists.FORMS:
                 with pytest.raises(ValueError, match="exact rational, got"):
                     build_twist("L", "twist", 2, u=u, form=form)
 
@@ -262,18 +272,45 @@ class TestEndpoints:
         lambda: check_v_family(4)], ids=["endpoints-L", "endpoints-R",
                                          "vfamily"])
     def test_bumped_f1_fails_at_grade_two(self, monkeypatch, check):
-        # F1 (its inverse left as built) shifted by the constant 1 (x) P^2:
-        # both checks compare against F1, so they first differ at grade 2
+        # F1 and F1^-1 each shifted by the constant 1 (x) P^2: L's endpoints
+        # and the v-family compare against F1, R's endpoints against F1^-1,
+        # so each first differs at grade 2
         closed = twists._closed_F1
         monkeypatch.setattr(twists, "_closed_F1", lambda N, inverse=False:
-                            closed(N, True) if inverse else
-                            mutate_coefficient(closed(N), ((0, 0), (2, 0)),
-                                               (0, 0), 1))
+                            mutate_coefficient(closed(N, inverse),
+                                               ((0, 0), (2, 0)), (0, 0), 1))
         rep = check()
         assert not rep.passed
         assert min(n for n, ok in rep.grades.items() if not ok) == 2
         assert rep.failure["grade"] == 2
         assert rep.failure["momenta"] == ((0, 0), (2, 0))
+
+    @pytest.mark.parametrize("end, direction, family", [
+        ("0", "twist", "L"), ("1", "twist", "L"),
+        ("0", "inverse", "R"), ("1", "inverse", "R")])
+    def test_each_endpoint_builder_is_checked_in_its_direction(
+            self, monkeypatch, end, direction, family):
+        # one builder in one direction shifted by a constant at grade 2,
+        # on the leg its momenta sit on: the family whose printed series is
+        # in that direction fails there, the other family and lr pass
+        key = ((2, 0), (0, 0)) if end == "0" else ((0, 0), (2, 0))
+        name = "_closed_F" + end
+        closed = getattr(twists, name)
+        monkeypatch.setattr(twists, name, lambda N, inverse=False: (
+            mutate_coefficient(closed(N, inverse), key, (0, 0), 1)
+            if inverse == (direction == "inverse") else closed(N, inverse)))
+        rep = check_endpoints(family, 4)
+        assert not rep.passed
+        assert rep.grades == {0: True, 1: True, 2: False, 3: True, 4: True}
+        assert rep.failure["momenta"] == key
+        assert check_endpoints("LR".replace(family, ""), 4).passed
+        assert check_LR_relation(4).passed
+
+    @pytest.mark.parametrize("family, notes", [
+        ("L", ["u=0: twist equals F0", "u=1: twist equals F1"]),
+        ("R", ["u=0: inverse equals F0^-1", "u=1: inverse equals F1^-1"])])
+    def test_notes_name_the_printed_direction(self, family, notes):
+        assert check_endpoints(family, 2).notes == notes
 
 
 class TestFormEquality:
@@ -293,15 +330,10 @@ class TestFormEquality:
                              [("L", "twist"), ("R", "inverse")])
     def test_builds_the_transcribed_direction_only(self, monkeypatch,
                                                    family, direction):
-        builds, inverses = [], []
-        build, inverse = twists.build_twist, twists.geometric_inverse
-        monkeypatch.setattr(twists, "build_twist",
-                            lambda *a: builds.append(a) or build(*a))
-        monkeypatch.setattr(twists, "geometric_inverse",
-                            lambda a: inverses.append(a) or inverse(a))
-        assert check_form_equality(family, 3).passed
-        assert builds == [(family, direction, 3, None, form)
-                          for form in ("product", "closed")]
+        builds, inverses = recorded_builds(
+            monkeypatch, lambda: check_form_equality(family, 3))
+        assert builds == [(family, direction, 3, None, "product"),
+                          (family, direction, 3, None)]
         assert inverses == []
 
     @pytest.mark.parametrize("family, closed",
@@ -460,15 +492,49 @@ class TestRelations:
         assert lr_factor(4, 0) == one(2, 4)
 
     def test_bumped_lr_factor_fails_from_grade_two(self, monkeypatch):
-        # F_L^-1 has grade-0 part 1, so a constant added to the factor at
-        # P (x) P changes F_L^-1 times the factor from grade 2 upwards
+        # the factor is one side of F_L F_R^-1 = factor, so a constant
+        # added to it at P (x) P makes the sides differ at grade 2 alone
         factor = twists.lr_factor
         monkeypatch.setattr(twists, "lr_factor", lambda N, u=None:
                             mutate_coefficient(factor(N, u), ((1, 0), (1, 0)),
                                                (0, 0), 1))
         rep = check_LR_relation(4)
-        assert rep.grades == {0: True, 1: True, 2: False, 3: False, 4: False}
+        assert rep.grades == {0: True, 1: True, 2: False, 3: True, 4: True}
         assert rep.failure["grade"] == 2
+
+    @pytest.mark.parametrize("key, grade", [(((1, 0), (1, 0)), 2),
+                                            (((2, 0), (0, 0)), 2),
+                                            (((0, 0), (1, 0)), 1)],
+                             ids=["P-P", "P2-1", "1-P"])
+    def test_bumped_left_series_fails_from_its_grade(self, monkeypatch, key,
+                                                     grade):
+        # F_R^-1 has grade-0 part 1, so a constant added to F_L at a key
+        # changes F_L F_R^-1 from that key's grade upwards
+        closed = twists._closed_L
+        monkeypatch.setattr(twists, "_closed_L", lambda N, u=None:
+                            mutate_coefficient(closed(N, u), key, (0, 0), 1))
+        rep = check_LR_relation(4)
+        assert rep.grades == {n: n < grade for n in range(5)}
+        assert rep.failure["grade"] == grade
+        assert rep.failure["momenta"] == key
+
+    @pytest.mark.parametrize("check, printed, inverted", [
+        (lambda: check_LR_relation(3), [("L", "twist", 3, None),
+                                        ("R", "inverse", 3, None)], 1),
+        (lambda: check_endpoints("L", 3), [("L", "twist", 3),
+                                           ("0", "twist", 3),
+                                           ("1", "twist", 3)], 0),
+        (lambda: check_endpoints("R", 3), [("R", "inverse", 3),
+                                           ("0", "inverse", 3),
+                                           ("1", "inverse", 3)], 0)],
+        ids=["lr", "endpoints-L", "endpoints-R"])
+    def test_builds_the_printed_directions_only(self, monkeypatch, check,
+                                                printed, inverted):
+        # neither check builds the inverse of a printed series: lr inverts
+        # its factor alone, endpoints nothing
+        builds, inverses = recorded_builds(monkeypatch, check)
+        assert builds == printed
+        assert len(inverses) == inverted
 
     def test_lr_relation_symbolic(self):
         assert check_LR_relation(4).passed
@@ -554,21 +620,14 @@ class TestSpecializeCommutes:
         assert check_form_equality("L", 3, u0).passed
 
 
-# the series form build_twist picks for each (family, direction) when no
-# form is given, written out
-CANONICAL_FORMS = {
-    ("0", "twist"): "closed", ("0", "inverse"): "closed",
-    ("1", "twist"): "closed", ("1", "inverse"): "closed",
-    ("L", "twist"): "closed", ("L", "inverse"): "inverted-closed",
-    ("R", "twist"): "inverted-closed", ("R", "inverse"): "closed",
+# (family, direction) -> whether build_twist builds its product form, the
+# one form in twists.FORMS; the series (form None) builds for every pair
+PRODUCT_BUILDS = {
+    ("0", "twist"): False, ("0", "inverse"): False,
+    ("1", "twist"): False, ("1", "inverse"): False,
+    ("L", "twist"): True, ("L", "inverse"): True,
+    ("R", "twist"): True, ("R", "inverse"): True,
 }
-
-UNBUILDABLE = [
-    (fam, direction, form)
-    for fam in ("0", "1") for direction in ("twist", "inverse")
-    for form in ("product", "inverted-closed")
-] + [("L", "inverse", "closed"), ("L", "twist", "inverted-closed"),
-     ("R", "twist", "closed"), ("R", "inverse", "inverted-closed")]
 
 
 @pytest.mark.parametrize("family", ["L", "R"])
@@ -581,16 +640,22 @@ def test_series_inverse_is_two_sided(family):
     assert F * G == one(2, 5) == G * F
 
 
-@pytest.mark.parametrize("fam,direction", sorted(CANONICAL_FORMS))
-def test_twist_is_the_canonical_form(fam, direction):
-    form = CANONICAL_FORMS[fam, direction]
-    assert build_twist(fam, direction, 3) == build_twist(
-        fam, direction, 3, form=form)
+@pytest.mark.parametrize("fam,direction", sorted(PRODUCT_BUILDS))
+def test_series_equals_the_product_form_where_one_builds(fam, direction):
+    # in both directions: "forms" compares the printed one only
+    series = build_twist(fam, direction, 3)
+    if PRODUCT_BUILDS[fam, direction]:
+        assert build_twist(fam, direction, 3, form="product") == series
+    else:
+        with pytest.raises(ValueError, match="has no product form"):
+            build_twist(fam, direction, 1, form="product")
 
 
-@pytest.mark.parametrize("fam,direction,form", UNBUILDABLE)
-def test_unbuildable_form_raises(fam, direction, form):
-    with pytest.raises(ValueError, match="has no"):
+@pytest.mark.parametrize("fam,direction", sorted(PRODUCT_BUILDS))
+@pytest.mark.parametrize("form", ["closed", "inverted-closed"])
+def test_a_series_is_not_a_form(fam, direction, form):
+    # form=None builds the series, and the product is the one form
+    with pytest.raises(ValueError, match="unknown family, direction or form"):
         build_twist(fam, direction, 1, form=form)
 
 
@@ -605,16 +670,24 @@ def test_every_registered_check_runs_at_the_given_order(name):
 @pytest.mark.parametrize("name", list(twists.CHECKS))
 def test_declared_options_are_the_applied_ones(name):
     # a check declares "u" iff some report runs at the given u, and "family"
-    # iff every report runs for the given family; a report that does not
-    # run at a given value is noted
+    # iff every report runs for the given family; given to that check alone,
+    # an option it does not declare is refused, and given with a check that
+    # declares it, it is noted on each report that does not run at it
     applied = twists.CHECKS[name][1]
     assert set(applied) <= {"family", "u"}
-    reports = run_suite(checks=[name], order=1, family="L", u=Fraction(1, 2))
+    given = {"family": "L", "u": Fraction(1, 2)}
+    for opt in set(given) - set(applied):
+        with pytest.raises(ValueError, match="%s applies to none of the "
+                                             "checks %s" % (opt, name)):
+            run_suite(checks=[name], order=1, **{opt: given[opt]})
+    reports = run_suite(checks=[name], order=1,
+                        **{opt: given[opt] for opt in applied})
     uses_u = any(r.params["u"] == "1/2" for r in reports)
     assert uses_u == ("u" in applied)
     families = {r.params.get("family") for r in reports}
     assert families == ({"L"} if "family" in applied else {None})
-    for rep in reports:
+    mixed = run_suite(checks=[name, "normalization"], order=1, **given)
+    for rep in mixed[:len(reports)]:
         assert ("u not applied" in rep.notes) != (rep.params["u"] == "1/2")
         assert ("family not applied" in rep.notes) != (
             rep.params.get("family") == "L")
