@@ -3,16 +3,17 @@
 INTERPOLATING declares the families L and R, each built two independent
 ways: the product form (chi (x) chi) J Delta(chi^-1), the Jordanian twist J
 further twisted with the 1-cochain chi = exp(u h), and the closed
-double-sum series in the direction the paper prints, whose geometric
-inverse gives the other direction.  ENDPOINTS declares the endpoint twists
+double-sum series the paper prints, F_L and F_R^-1, times the LR core
+in the other direction.  ENDPOINTS declares the endpoint twists
 F0 (momentum side) and F1 (dilatation side), closed in both directions.
 """
 
 from __future__ import annotations
 
-from .exactalg import DPoly, UPoly, binom_poly
+from .exactalg import MAX_DEGREE, DPoly, UPoly, binom_poly
 from .borel import (TensorElement, exp_series, first_difference,
-                    geometric_inverse, log1p_series, sum_of_products)
+                    log1p_series, sum_of_products)
+from .borel import geometric_inverse  # noqa: F401  (perfbench traces it here)
 from .report import VerificationReport, merge_reports
 
 DIRECTIONS = ("twist", "inverse")
@@ -93,6 +94,26 @@ def _closed_R_inverse(N, u=None):
                           binom_poly(x, l) * binom_poly(y, k))
 
 
+def _pow1p(N, r, v=1, legs=1):
+    """(1 + r p)^v to order N, for v = 1 or -1 and p = P/kappa on each of
+    `legs` legs; the inverse is the table sum_m (-r)^m p^m."""
+    powers = ({1: r} if v == 1 else
+              {m: (-r) ** m for m in range(1, N // legs + 1)})
+    terms = {((m, 0),) * legs: c for m, c in powers.items()}
+    terms[((0, 0),) * legs] = 1
+    return TensorElement(legs, N, terms)
+
+
+def _lr_core(N, u=None):
+    """1 (x) 1 + u(1-u)/kappa^2 P (x) P."""
+    return _pow1p(N, _usym(u) * (1 - _usym(u)), 1, 2)
+
+
+def lr_factor(N, u=None):
+    """(1 (x) 1 + u(1-u)/kappa^2 P (x) P)^-1 as a truncated series."""
+    return _pow1p(N, _usym(u) * (1 - _usym(u)), -1, 2)
+
+
 # ---------------------------------------------------------------------------
 # product forms
 # ---------------------------------------------------------------------------
@@ -119,13 +140,15 @@ def _product_family(c, N, u=None, inverse=False):
 # ---------------------------------------------------------------------------
 
 # interpolating family -> (cochain constant c of h = P(D + c), the direction
-# whose closed series the paper prints, that series as builder(N, u)); the
-# other direction's series is the geometric inverse of that one.  The
-# builders call the closed forms by their module names, so that a wrapper
-# installed on a module attribute (a tracer, a mock) sees each call.
+# whose closed series the paper prints, then the series of that direction
+# and of the other as builder(N, u)): F_R = core F_L and F_L^-1 = F_R^-1 core
+# by the LR relation.  The builders call the closed forms by their module
+# names, so that a wrapper installed on a module attribute sees each call.
 INTERPOLATING = {
-    "L": (-1, "twist", lambda N, u: _closed_L(N, u)),
-    "R": (0, "inverse", lambda N, u: _closed_R_inverse(N, u)),
+    "L": (-1, "twist", lambda N, u: _closed_L(N, u),
+          lambda N, u: _closed_R_inverse(N, u) * _lr_core(N, u)),
+    "R": (0, "inverse", lambda N, u: _closed_R_inverse(N, u),
+          lambda N, u: _lr_core(N, u) * _closed_L(N, u)),
 }
 # endpoint family -> builder(N, inverse): closed in both directions, no u
 ENDPOINTS = {
@@ -138,17 +161,18 @@ FAMILIES = tuple(ENDPOINTS) + tuple(INTERPOLATING)
 def build_twist(family, direction, N, u=None, form=None):
     """The twist (direction "twist") or its inverse ("inverse") of a family
     to order N, at a rational u or with u symbolic (None); an endpoint
-    family has no u, and refuses one; N must be a nonnegative int.  form=None
-    means the series: the closed series in the direction the paper prints
-    (either, for an endpoint family), else the geometric inverse of the
-    printed one; form="product" is an interpolating family's product form."""
+    family has no u, and refuses one; N must be an int in 0..MAX_DEGREE.
+    form=None means the series: the closed series the paper prints (either
+    direction, for an endpoint family), or its product with the LR core;
+    form="product" is an interpolating family's product form."""
     if (family not in FAMILIES or direction not in DIRECTIONS
             or form not in (None,) + FORMS):
         raise ValueError("unknown family, direction or form %r, %r, %r"
                          % (family, direction, form))
-    if type(N) is not int or N < 0:
-        raise ValueError("truncation order must be a nonnegative int, got %r"
-                         % (N,))
+    if type(N) is not int or not 0 <= N <= MAX_DEGREE:
+        raise ValueError("truncation order must be at most %d, the largest "
+                         "exponent or u-degree a key holds, and a nonnegative "
+                         "int, got %r" % (MAX_DEGREE, N))
     if u is not None and family in ENDPOINTS:
         raise ValueError("u applies to families %s only; family %s has no u"
                          % (" and ".join(INTERPOLATING), family))
@@ -157,11 +181,10 @@ def build_twist(family, direction, N, u=None, form=None):
         if form:
             raise ValueError("family %s has no %s form" % (family, form))
         return ENDPOINTS[family](N, inverse)
-    c, printed, series = INTERPOLATING[family]
+    c, printed, series, derived = INTERPOLATING[family]
     if form:
         return _product_family(c, N, u, inverse)
-    closed = series(N, u)
-    return closed if direction == printed else geometric_inverse(closed)
+    return (series if direction == printed else derived)(N, u)
 
 
 def _transcribed(family):
@@ -184,37 +207,17 @@ def _probe(generator, N):
     return _PROBES[generator](N)
 
 
-def _lr_core(N, u=None):
-    """1 (x) 1 + u(1-u)/kappa^2 P (x) P."""
-    uu = _usym(u)
-    P = TensorElement.momentum_p(N)
-    return TensorElement.one(2, N) + P.tensor(P).scale(uu * (1 - uu))
-
-
-def lr_factor(N, u=None):
-    """(1 (x) 1 + u(1-u)/kappa^2 P (x) P)^-1 as a truncated series."""
-    return geometric_inverse(_lr_core(N, u))
-
-
 def target_coproduct(family, generator, N, u=None):
     """Closed-form deformed coproduct, expanded as a truncated series."""
     if family not in INTERPOLATING:
         raise ValueError("Hopf data targets exist for families L and R")
     g = _probe(generator, N)
     uu = _usym(u)
-    one1 = TensorElement.one(1, N)
-    P = TensorElement.momentum_p(N)
-    right = one1 + P.scale(uu)            # 1 + uP/kappa
-    left = one1 - P.scale(1 - uu)         # 1 - (1-u)P/kappa
-    if generator != "D":
-        num = g.tensor(right) + left.tensor(g)
+    if generator != "D":  # g (x) (1 + uP/kappa) + (1 - (1-u)P/kappa) (x) g
+        num = g.tensor(_pow1p(N, uu)) + _pow1p(N, uu - 1).tensor(g)
         return num * lr_factor(N, u)
-    core = (g.tensor(geometric_inverse(right))
-            + geometric_inverse(left).tensor(g))
-    pp = _lr_core(N, u)
-    if family == "L":
-        return core * pp
-    return pp * core
+    core = g.tensor(_pow1p(N, uu, -1)) + _pow1p(N, uu - 1, -1).tensor(g)
+    return core * _lr_core(N, u) if family == "L" else _lr_core(N, u) * core
 
 
 # (family, generator) of the printed antipodes whose sign is wrong
@@ -227,17 +230,14 @@ def target_antipode(family, generator, N, u=None):
         raise ValueError("Hopf data targets exist for families L and R")
     g = _probe(generator, N)
     uu = _usym(u)
-    one1 = TensorElement.one(1, N)
-    P = TensorElement.momentum_p(N)
-    mid = one1 - P.scale(1 - 2 * uu)      # 1 - (1-2u)P/kappa
+    mid = 2 * uu - 1  # 1 - (1-2u)P/kappa
     if generator != "D":
-        res = g * geometric_inverse(mid)
+        res = g * _pow1p(N, mid, -1)
         return -res if family == "R" else res
-    if family == "L":
-        right = one1 + P.scale(uu)
-        return -(geometric_inverse(right) * mid * g * right)
-    left = one1 - P.scale(1 - uu)
-    return -(left * g * mid * geometric_inverse(left))
+    if family == "L":  # 1 + uP/kappa on either side
+        return -(_pow1p(N, uu, -1) * _pow1p(N, mid) * g * _pow1p(N, uu))
+    left = uu - 1  # 1 - (1-u)P/kappa
+    return -(_pow1p(N, left) * g * _pow1p(N, mid) * _pow1p(N, left, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +332,8 @@ def check_endpoints(family, N):
 
 def check_form_equality(family, N, u=None):
     """Product form equals closed series, in the transcribed direction: the
-    other's product form is this one's exact inverse and its series the
-    geometric inverse of this closed one, so they agree when these do."""
+    other's product form is this one's exact inverse and its series this
+    one times the LR core, so they agree when these do and lr passes."""
     direction = _transcribed(family)
     return _compare("forms", _params(family, N, u),
                     build_twist(family, direction, N, u, "product"),
@@ -438,14 +438,14 @@ def run_suite(checks=None, order=None, family=None, u=None):
     the reports in order; each check runs at `order`, or at its own default
     order.  The reports of a check that does not apply a given `family` or
     `u` carry the note "family not applied" or "u not applied".  An order
-    below 1, where every check would pass, or not an int raises ValueError,
-    as do a u that is neither None nor an exact rational and a `family` or
-    `u` that none of the selected checks applies."""
+    below 1, where every check would pass, above MAX_DEGREE or not an int
+    raises ValueError, as do a u that is neither None nor an exact rational
+    and a `family` or `u` that none of the selected checks applies."""
     if order is not None and type(order) is not int:
         raise ValueError("order must be an int, got %r" % (order,))
-    if order is not None and order < 1:
-        raise ValueError("order must be at least 1: at order 0 every twist "
-                         "is 1 (x) 1")
+    if order is not None and not 1 <= order <= MAX_DEGREE:
+        raise ValueError("order must be at least 1, as order 0 makes every "
+                         "twist 1 (x) 1, and at most %d" % MAX_DEGREE)
     if u is not None:
         _usym(u)  # an inexact u is refused first, whatever the checks
     selected = list(dict.fromkeys(checks or CHECKS))

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from jortwist.exactalg import DPoly, UPoly, binom_poly
+from jortwist.exactalg import MAX_DEGREE, DPoly, UPoly, binom_poly
 from jortwist.borel import (TensorElement, conjugate, exp_series,
                             first_difference, geometric_inverse,
                             log1p_series)
-from jortwist import twists
+from jortwist import borel, cli, twists
 from jortwist.twists import (build_twist, check_cocycle, check_endpoints,
                              check_form_equality, check_hopf_data,
                              check_LR_relation, check_normalization,
@@ -39,17 +39,24 @@ U = UPoly.u()
 NOT_EXACT = (0.5, 0.1, Decimal("0.5"), "1/2", U)
 
 
+def refuse_inversion(monkeypatch):
+    """Make geometric_inverse raise under both names twists could reach."""
+    def refused(element):
+        raise AssertionError("geometric_inverse called")
+    monkeypatch.setattr(borel, "geometric_inverse", refused)
+    monkeypatch.setattr(twists, "geometric_inverse", refused)
+
+
 def recorded_builds(monkeypatch, check):
-    """Run check(), which must pass: (the argument tuples of its
-    build_twist calls, the elements it passed to geometric_inverse)."""
-    builds, inverses = [], []
-    build, inverse = twists.build_twist, twists.geometric_inverse
+    """Run check(), which must pass with no geometric_inverse call: the
+    argument tuples of its build_twist calls."""
+    builds = []
+    build = twists.build_twist
+    refuse_inversion(monkeypatch)
     monkeypatch.setattr(twists, "build_twist",
                         lambda *a: builds.append(a) or build(*a))
-    monkeypatch.setattr(twists, "geometric_inverse",
-                        lambda a: inverses.append(a) or inverse(a))
     assert check().passed
-    return builds, inverses
+    return builds
 
 
 class TestBuildTwist:
@@ -156,15 +163,11 @@ class TestNormalization:
 
     def test_counits_read_the_transcribed_series(self, monkeypatch):
         # family R's printed series is its inverse; the counits are algebra
-        # maps, so they are applied to it as printed, not to its inverse
-        calls = []
-        inverse = twists.geometric_inverse
-        monkeypatch.setattr(twists, "geometric_inverse",
-                            lambda a: calls.append(a) or inverse(a))
-        rep = check_normalization("R", 4)
-        assert rep.passed and rep.params["via_inverse"] is True
+        # maps, so they are applied to it as printed, not to its twist
+        assert recorded_builds(monkeypatch, lambda: check_normalization(
+            "R", 4)) == [("R", "inverse", 4, None)]
+        assert check_normalization("R", 4).params["via_inverse"] is True
         assert check_normalization("L", 4).params["via_inverse"] is False
-        assert calls == []
 
     def test_counit_surviving_bump_fails_at_its_grade(self, monkeypatch):
         # 1 (x) P^2 D keeps its first leg at (0, 0) and D on the second, so
@@ -263,9 +266,9 @@ class TestEndpoints:
 
     def test_families_coincide_at_u_one(self):
         # at u = 1 the lr factor is 1 (x) 1, as lr-relation proves at
-        # symbolic u; here the two twists are built and compared directly
+        # symbolic u; here the two printed series are multiplied directly
         assert (build_twist("L", "twist", 5, 1)
-                == build_twist("R", "twist", 5, 1))
+                * build_twist("R", "inverse", 5, 1) == one(2, 5))
 
     @pytest.mark.parametrize("check", [
         lambda: check_endpoints("L", 4), lambda: check_endpoints("R", 4),
@@ -330,11 +333,10 @@ class TestFormEquality:
                              [("L", "twist"), ("R", "inverse")])
     def test_builds_the_transcribed_direction_only(self, monkeypatch,
                                                    family, direction):
-        builds, inverses = recorded_builds(
+        builds = recorded_builds(
             monkeypatch, lambda: check_form_equality(family, 3))
         assert builds == [(family, direction, 3, None, "product"),
                           (family, direction, 3, None)]
-        assert inverses == []
 
     @pytest.mark.parametrize("family, closed",
                              [("L", "_closed_L"), ("R", "_closed_R_inverse")])
@@ -442,6 +444,18 @@ class TestHopfData:
         assert rep.failure["grade"] == grade
         assert all(r.passed for r in reports.values())
 
+    def test_bumped_left_series_fails_the_right_targets(self, monkeypatch):
+        # R's twist is core F_L, so a constant added to the printed F_L at
+        # P (x) P fails R's printed targets, as it fails L's
+        closed = twists._closed_L
+        monkeypatch.setattr(twists, "_closed_L", lambda N, u=None:
+                            mutate_coefficient(closed(N, u), ((1, 0), (1, 0)),
+                                               (0, 0), 1))
+        reports = dict(zip("PQD", check_hopf_data("R", 4)))
+        for generator, grade in (("P", 4), ("Q", 3), ("D", 2)):
+            assert not reports[generator].passed
+            assert reports[generator].failure["grade"] == grade
+
     def test_momentum_antipode_sign_is_resolved(self):
         # the two families must share the same antipode on momenta; the
         # computed sign is negative, so the printed left-family formula
@@ -479,16 +493,16 @@ class TestHopfData:
 
 class TestRelations:
     def test_lr_relation_low_order(self):
-        # oracle: grade-2 hand expansion; the factor first appears there
+        # oracle: grade-2 hand expansion; the factor first appears there,
+        # as -u(1-u)/kappa^2 P (x) P
         rep = check_LR_relation(2)
         assert rep.passed
-        lhs = build_twist("R", "inverse", 2)
-        rhs = build_twist("L", "inverse", 2) * lr_factor(2)
-        assert lhs.grade_slice(2) == rhs.grade_slice(2)
+        lhs = build_twist("L", "twist", 2) * build_twist("R", "inverse", 2)
+        assert lhs.grade_slice(2) == P(2).tensor(P(2)).scale(U * U - U)
 
     def test_lr_relation_at_u_zero(self):
-        assert (build_twist("R", "inverse", 4, 0)
-                == build_twist("L", "inverse", 4, 0))
+        assert (build_twist("L", "twist", 4, 0)
+                * build_twist("R", "inverse", 4, 0) == one(2, 4))
         assert lr_factor(4, 0) == one(2, 4)
 
     def test_bumped_lr_factor_fails_from_grade_two(self, monkeypatch):
@@ -518,23 +532,21 @@ class TestRelations:
         assert rep.failure["grade"] == grade
         assert rep.failure["momenta"] == key
 
-    @pytest.mark.parametrize("check, printed, inverted", [
+    @pytest.mark.parametrize("check, printed", [
         (lambda: check_LR_relation(3), [("L", "twist", 3, None),
-                                        ("R", "inverse", 3, None)], 1),
+                                        ("R", "inverse", 3, None)]),
         (lambda: check_endpoints("L", 3), [("L", "twist", 3),
                                            ("0", "twist", 3),
-                                           ("1", "twist", 3)], 0),
+                                           ("1", "twist", 3)]),
         (lambda: check_endpoints("R", 3), [("R", "inverse", 3),
                                            ("0", "inverse", 3),
-                                           ("1", "inverse", 3)], 0)],
+                                           ("1", "inverse", 3)])],
         ids=["lr", "endpoints-L", "endpoints-R"])
     def test_builds_the_printed_directions_only(self, monkeypatch, check,
-                                                printed, inverted):
-        # neither check builds the inverse of a printed series: lr inverts
-        # its factor alone, endpoints nothing
-        builds, inverses = recorded_builds(monkeypatch, check)
-        assert builds == printed
-        assert len(inverses) == inverted
+                                                printed):
+        # neither check builds a direction the paper does not print, and
+        # neither inverts anything: lr's factor is a closed table too
+        assert recorded_builds(monkeypatch, check) == printed
 
     def test_lr_relation_symbolic(self):
         assert check_LR_relation(4).passed
@@ -632,9 +644,9 @@ PRODUCT_BUILDS = {
 
 @pytest.mark.parametrize("family", ["L", "R"])
 def test_series_inverse_is_two_sided(family):
-    # the series inverse of one direction is the geometric inverse of the
-    # other's closed form, a one-sided inverse by its recursion; that it
-    # is two-sided is a property of the kernel's product
+    # one direction is a printed series and the other the other printed
+    # series times the LR core (F_R = core F_L, F_L^-1 = F_R^-1 core), so
+    # F G = 1 = G F is the LR identity F_L F_R^-1 = core^-1, on either side
     F = build_twist(family, "twist", 5)
     G = build_twist(family, "inverse", 5)
     assert F * G == one(2, 5) == G * F
@@ -649,6 +661,74 @@ def test_series_equals_the_product_form_where_one_builds(fam, direction):
     else:
         with pytest.raises(ValueError, match="has no product form"):
             build_twist(fam, direction, 1, form="product")
+
+
+@pytest.mark.parametrize("family, direction",
+                         [("R", "twist"), ("L", "inverse")])
+def test_bumped_core_fails_the_derived_direction_against_its_product(
+        monkeypatch, family, direction):
+    # the direction the paper does not print is core F_L or F_R^-1 core;
+    # "forms" and "lr" read the printed series only, so they still pass
+    core = twists._lr_core
+    monkeypatch.setattr(twists, "_lr_core", lambda N, u=None:
+                        mutate_coefficient(core(N, u), ((1, 0), (1, 0)),
+                                           (0, 0), 1))
+    rep = twists._compare("forms", {}, build_twist(family, direction, 4),
+                          build_twist(family, direction, 4, form="product"))
+    assert rep.grades == {0: True, 1: True, 2: False, 3: False, 4: False}
+    assert rep.failure["momenta"] == ((1, 0), (1, 0))
+    assert all(r.passed for r in run_suite(["forms", "lr"], 4))
+
+
+def test_nothing_is_inverted_by_recursion(monkeypatch):
+    # every direction, factor and target is a closed series, a closed
+    # table or a product of them; geometric_inverse stays a reference
+    refuse_inversion(monkeypatch)
+    assert all(r.passed for r in run_suite())
+    for fam, direction in sorted(PRODUCT_BUILDS):
+        assert build_twist(fam, direction, 4).truncation == 4
+        if PRODUCT_BUILDS[fam, direction]:
+            assert build_twist(fam, direction, 4, form="product") == (
+                build_twist(fam, direction, 4))
+
+
+@pytest.mark.parametrize("u", [None, 2], ids=["symbolic", "u=2"])
+def test_closed_inverses_are_the_geometric_inverses(u):
+    # oracle: the grade-by-grade recursion, on the forward factors as
+    # written out with one and P
+    uu = U if u is None else UPoly.const(u)
+    for N in range(9):
+        for fam, printed in (("L", "twist"), ("R", "inverse")):
+            derived = "inverse" if printed == "twist" else "twist"
+            assert build_twist(fam, derived, N, u) == geometric_inverse(
+                build_twist(fam, printed, N, u))
+        assert lr_factor(N, u) == geometric_inverse(
+            one(2, N) + P(N).tensor(P(N)).scale(uu * (1 - uu)))
+        for r in (uu, uu - 1, 2 * uu - 1):  # 1 + uP, 1 - (1-u)P, 1 - (1-2u)P
+            assert twists._pow1p(N, r, -1) == geometric_inverse(
+                one(1, N) + P(N).scale(r))
+
+
+def test_an_order_past_the_largest_exponent_is_refused_at_once(
+        monkeypatch, capsys):
+    # no key holds an exponent or u-degree above MAX_DEGREE; every builder
+    # raises here, so an order that reaches one fails at once, not late
+    def refused(*args):
+        raise AssertionError("built with %r" % (args,))
+    for name in ("_closed_F0", "_closed_F1", "_closed_L", "_closed_R_inverse",
+                 "_product_family"):
+        monkeypatch.setattr(twists, name, refused)
+    for fam, direction in sorted(PRODUCT_BUILDS):
+        with pytest.raises(ValueError, match="at most 32767"):
+            build_twist(fam, direction, MAX_DEGREE + 1)
+    for name in twists.CHECKS:
+        with pytest.raises(ValueError, match="at most 32767"):
+            run_suite([name], MAX_DEGREE + 1)
+    for argv in (["expand", "--family", "0"], ["verify", "--all"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--order", str(MAX_DEGREE + 1)])
+        assert exc.value.code == 2
+        assert "at most 32767" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fam,direction", sorted(PRODUCT_BUILDS))
