@@ -202,21 +202,12 @@ def _parse_u(text):
         raise argparse.ArgumentTypeError("bad rational %r: %s" % (text, exc))
 
 
-def _nonneg_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,))
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
-    return value
-
-
 def _expand_arguments(p):
     p.add_argument("--family", required=True, choices=twists.FAMILIES)
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--form", choices=twists.FORMS)
-    p.add_argument("--order", type=_nonneg_int, required=True)
+    p.add_argument("--order", type=int, required=True,
+                   help="truncation order, 0..%d" % MAX_DEGREE)
     p.add_argument("--u", type=_parse_u, default=None,
                    help="'symbolic' (default) or a rational like 1/2; "
                         "families %s only"
@@ -230,17 +221,21 @@ def _verify_arguments(p):
     p.add_argument("--check", action="append", dest="checks",
                    choices=tuple(twists.CHECKS))
     p.add_argument("--family", choices=tuple(twists.INTERPOLATING))
-    p.add_argument("--order", type=_nonneg_int)
+    p.add_argument("--order", type=int,
+                   help="truncation order, 1..%d; default: each check's own"
+                        % MAX_DEGREE)
     p.add_argument("--u", type=_parse_u, default=None)
 
 
 def _identities_arguments(p):
     p.add_argument("--bigident", action="store_true")
     p.add_argument("--chain", choices=("L", "R"))
-    p.add_argument("--det", type=_nonneg_int, metavar="N",
+    p.add_argument("--det", type=int, metavar="N",
                    help="check the independence determinant for order N, "
-                        "at most %d" % MAX_DEGREE)
-    p.add_argument("--bound", type=_nonneg_int)
+                        "0..%d" % MAX_DEGREE)
+    p.add_argument("--bound", type=int,
+                   help="largest index of the identities, 0..%d; default: "
+                        "each suite's own" % MAX_DEGREE)
 
 
 def _output_arguments(p):

@@ -29,6 +29,15 @@ MAX_DEGREE = _TOP - 1  # the largest exponent or u-degree a key holds
 _GUARD = 0x8000_8000_8000_8000
 
 
+def refuse_degree(n, what, low=0):
+    """ValueError naming `what` unless n is an int, not a bool, in
+    low..MAX_DEGREE: the one rule for a truncation order or an index bound,
+    which becomes an exponent or u-degree of some key."""
+    if type(n) is not int or not low <= n <= MAX_DEGREE:
+        raise ValueError("%s must be an int in %d..%d, got %r"
+                         % (what, low, MAX_DEGREE, n))
+
+
 def _ratio(value):
     """(numerator, denominator) of an exact rational, an int or a Fraction,
     read through its int numerator and denominator; a float or a Decimal,

@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .exactalg import MAX_DEGREE, MAX_LEGS, DPoly, UPoly, binom_poly, int_binom
+from .exactalg import (MAX_LEGS, DPoly, UPoly, binom_poly, int_binom,
+                       refuse_degree)
 from .report import VerificationReport
 
 DEFAULT_BOUNDS = {"bigident": 4, "L": 4, "R": 3}  # by suite or chain
@@ -130,7 +131,10 @@ def _chain_L_instances(bound):
     x = DPoly.variable(2, 1)
     y = DPoly.variable(2, 2)
     r = range(bound + 1)
-    pairs = [(k, kp) for k in r for kp in range(k + 1)]  # 0 <= k' <= k
+
+    def pairs(*inner):  # (k, k', *rest) with 0 <= k' <= k, one at a time
+        return ((k, kp) + rest for k in r for kp in range(k + 1)
+                for rest in product(*inner))
 
     # reflection on the second leg, with l = l1 + l2
     for l1, l2 in product(r, r):
@@ -152,7 +156,7 @@ def _chain_L_instances(bound):
                         binom_poly(T, k2) * binom_poly(-x - y + l2, l2))
 
     # Vandermonde-type convolution over k1 + k2 = k - k'
-    for (k, kp), l2 in product(pairs, r):
+    for k, kp, l2 in pairs(r):
         conv = conv_reflected = DPoly(2)
         for k1 in range(k - kp + 1):
             k2 = k - kp - k1
@@ -173,7 +177,7 @@ def _chain_L_instances(bound):
                         binom_poly(-y + l, kp) * binom_poly(-y + l - kp, l1))
 
     # exchange of the two lower indices
-    for (k, kp), l1, l2 in product(pairs, r, r):
+    for k, kp, l1, l2 in pairs(r, r):
         l = l1 + l2
         yield _instance("L6", {"k": k, "k'": kp, "l1": l1, "l2": l2},
                         binom_poly(-y - kp + l2, k - kp)
@@ -189,7 +193,7 @@ def _chain_L_instances(bound):
         yield _instance("L7", {"k": k, "l": l}, conv, binom_poly(-x + k, l))
 
     # final regrouping into the integer binomial
-    for (k, kp), l in product(pairs, r):
+    for k, kp, l in pairs(r):
         yield _instance("L8", {"k": k, "k'": kp, "l": l},
                         binom_poly(-y + l - kp, k - kp) * binom_poly(-y + l, kp),
                         binom_poly(-y + l, k) * int_binom(k, kp))
@@ -234,10 +238,7 @@ def verify_identity_chain(chain, bound=None):
                          % ", ".join(map(repr, SUITES)))
     if bound is None:
         bound = DEFAULT_BOUNDS[chain]
-    if type(bound) is not int:
-        raise ValueError("bound must be an int, got %r" % (bound,))
-    if bound < 0:
-        raise ValueError("bound must be nonnegative, got %d" % bound)
+    refuse_degree(bound, "bound")
     check, instances = SUITES[chain]
     count = 0
     failure = None
@@ -272,22 +273,12 @@ def independence_matrix(n):
     return rows
 
 
-def _refuse_order(n):
-    """ValueError unless n is an int and 0 <= n <= MAX_DEGREE: row 0, u^n,
-    has u-degree n."""
-    if type(n) is not int:
-        raise ValueError("order must be an int, got %r" % (n,))
-    if not 0 <= n <= MAX_DEGREE:
-        raise ValueError("order must be nonnegative and must be at most %d, "
-                         "the largest u-degree, got %d" % (MAX_DEGREE, n))
-
-
 def independence_det(n):
     """Exact determinant of the change-of-basis matrix (unimodular: +-1),
     read off its lower-triangular form: row k's lowest term, (-1)^k u^(n-k),
     is on the diagonal.  An order outside 0..MAX_DEGREE, or a row with a
     term right of the diagonal or above u^n, raises ValueError."""
-    _refuse_order(n)
+    refuse_degree(n, "order")  # row 0, u^n, has u-degree n
     det = 1
     for k, row in enumerate(independence_matrix(n)):
         if any(row[k + 1:]):
@@ -301,7 +292,7 @@ def check_independence(n):
     is not lower triangular, or a row with a term above u^n, fails, its note
     naming the row; an order that is not an int in 0..MAX_DEGREE raises
     ValueError before any row is built."""
-    _refuse_order(n)
+    refuse_degree(n, "order")  # raised, not a failed report
     try:
         det = independence_det(n)
     except ValueError as exc:

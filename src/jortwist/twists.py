@@ -10,7 +10,7 @@ F0 (momentum side) and F1 (dilatation side), closed in both directions.
 
 from __future__ import annotations
 
-from .exactalg import MAX_DEGREE, DPoly, UPoly, binom_poly
+from .exactalg import DPoly, UPoly, binom_poly, refuse_degree
 from .borel import (TensorElement, exp_series, first_difference,
                     log1p_series, sum_of_products)
 from .borel import geometric_inverse  # noqa: F401  (perfbench traces it here)
@@ -158,6 +158,13 @@ ENDPOINTS = {
 FAMILIES = tuple(ENDPOINTS) + tuple(INTERPOLATING)
 
 
+def _refuse_without_u(family, what):
+    """ValueError unless `family` is interpolating: `what` needs a u."""
+    if family not in INTERPOLATING:
+        raise ValueError("%s applies to families %s only; family %s has no u"
+                         % (what, " and ".join(INTERPOLATING), family))
+
+
 def build_twist(family, direction, N, u=None, form=None):
     """The twist (direction "twist") or its inverse ("inverse") of a family
     to order N, at a rational u or with u symbolic (None); an endpoint
@@ -169,17 +176,13 @@ def build_twist(family, direction, N, u=None, form=None):
             or form not in (None,) + FORMS):
         raise ValueError("unknown family, direction or form %r, %r, %r"
                          % (family, direction, form))
-    if type(N) is not int or not 0 <= N <= MAX_DEGREE:
-        raise ValueError("truncation order must be at most %d, the largest "
-                         "exponent or u-degree a key holds, and a nonnegative "
-                         "int, got %r" % (MAX_DEGREE, N))
-    if u is not None and family in ENDPOINTS:
-        raise ValueError("u applies to families %s only; family %s has no u"
-                         % (" and ".join(INTERPOLATING), family))
+    refuse_degree(N, "truncation order")
+    if u is not None:
+        _refuse_without_u(family, "u")
+    if form:
+        _refuse_without_u(family, "the %s form" % form)
     inverse = direction == "inverse"
     if family in ENDPOINTS:
-        if form:
-            raise ValueError("family %s has no %s form" % (family, form))
         return ENDPOINTS[family](N, inverse)
     c, printed, series, derived = INTERPOLATING[family]
     if form:
@@ -209,8 +212,7 @@ def _probe(generator, N):
 
 def target_coproduct(family, generator, N, u=None):
     """Closed-form deformed coproduct, expanded as a truncated series."""
-    if family not in INTERPOLATING:
-        raise ValueError("Hopf data targets exist for families L and R")
+    _refuse_without_u(family, "a Hopf data target")
     g = _probe(generator, N)
     uu = _usym(u)
     if generator != "D":  # g (x) (1 + uP/kappa) + (1 - (1-u)P/kappa) (x) g
@@ -226,8 +228,7 @@ ANTIPODE_ERRATA = {("L", "P"), ("L", "Q")}
 
 def target_antipode(family, generator, N, u=None):
     """Closed-form deformed antipode exactly as printed (signs included)."""
-    if family not in INTERPOLATING:
-        raise ValueError("Hopf data targets exist for families L and R")
+    _refuse_without_u(family, "a Hopf data target")
     g = _probe(generator, N)
     uu = _usym(u)
     mid = 2 * uu - 1  # 1 - (1-2u)P/kappa
@@ -318,8 +319,7 @@ def check_endpoints(family, N):
     direction is its inverse, so it meets the inverses of these ends; it is
     not compared.  Family "0" is the u=0 end, family "1" the u=1 end.
     """
-    if family not in INTERPOLATING:
-        raise ValueError("endpoint check applies to families L and R")
+    _refuse_without_u(family, "the endpoint check")
     direction = _transcribed(family)
     series = build_twist(family, direction, N)
     power = "" if direction == "twist" else "^-1"
@@ -391,6 +391,7 @@ def check_LR_relation(N, u=None):
 def check_v_family(N):
     """Every cochain DP + vP reproduces F1 at u = 1, for every v at once:
     u is fixed at 1, so u in a coefficient stands for v (c = v - 1)."""
+    refuse_degree(N, "order")
     return _compare("v-family", _params(None, N, 1, v="symbolic"),
                     _product_family(UPoly.u() - 1, N, 1), _closed_F1(N),
                     ["u in a coefficient stands for v"])
@@ -441,11 +442,8 @@ def run_suite(checks=None, order=None, family=None, u=None):
     below 1, where every check would pass, above MAX_DEGREE or not an int
     raises ValueError, as do a u that is neither None nor an exact rational
     and a `family` or `u` that none of the selected checks applies."""
-    if order is not None and type(order) is not int:
-        raise ValueError("order must be an int, got %r" % (order,))
-    if order is not None and not 1 <= order <= MAX_DEGREE:
-        raise ValueError("order must be at least 1, as order 0 makes every "
-                         "twist 1 (x) 1, and at most %d" % MAX_DEGREE)
+    if order is not None:  # order 0 makes every twist 1 (x) 1
+        refuse_degree(order, "order", low=1)
     if u is not None:
         _usym(u)  # an inexact u is refused first, whatever the checks
     selected = list(dict.fromkeys(checks or CHECKS))

@@ -1,6 +1,8 @@
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -8,7 +10,7 @@ from jortwist.exactalg import MAX_DEGREE, DPoly, UPoly, binom_poly
 from jortwist.borel import (TensorElement, conjugate, exp_series,
                             first_difference, geometric_inverse,
                             log1p_series)
-from jortwist import borel, cli, twists
+from jortwist import borel, cli, identities, twists
 from jortwist.twists import (build_twist, check_cocycle, check_endpoints,
                              check_form_equality, check_hopf_data,
                              check_LR_relation, check_normalization,
@@ -95,7 +97,8 @@ class TestBuildTwist:
         with pytest.raises(ValueError):
             build_twist("X", "twist", 2)
         for N in (-1, 2.0, True):
-            with pytest.raises(ValueError, match="nonnegative int, got"):
+            with pytest.raises(ValueError, match=r"truncation order must "
+                               r"be an int in 0\.\.32767, got"):
                 build_twist("L", "twist", N)
         # floats never enter the algebra: a u that is not exact is refused
         for u in NOT_EXACT:
@@ -105,9 +108,18 @@ class TestBuildTwist:
 
     @pytest.mark.parametrize("family", ["0", "1"])
     def test_u_for_an_endpoint_family_raises(self, family):
-        # F0 and F1 have no u; a u given for them is refused, not ignored
-        with pytest.raises(ValueError, match="family %s has no u" % family):
-            build_twist(family, "twist", 2, u=Fraction(1, 2))
+        # F0 and F1 have no u; a u given for them is refused, not ignored,
+        # and so are the product form, the Hopf data targets and the
+        # endpoint check, which are built from u: one rule refuses them all
+        for call in (partial(build_twist, family, "twist", 2,
+                             u=Fraction(1, 2)),
+                     partial(build_twist, family, "twist", 2, form="product"),
+                     partial(target_coproduct, family, "P", 2),
+                     partial(target_antipode, family, "D", 2),
+                     partial(check_endpoints, family, 2)):
+            with pytest.raises(ValueError, match="applies to families L and "
+                               "R only; family %s has no u" % family):
+                call()
 
     def test_unknown_direction_raises(self):
         # the product form reads the direction as an inverse flag, so an
@@ -659,7 +671,8 @@ def test_series_equals_the_product_form_where_one_builds(fam, direction):
     if PRODUCT_BUILDS[fam, direction]:
         assert build_twist(fam, direction, 3, form="product") == series
     else:
-        with pytest.raises(ValueError, match="has no product form"):
+        with pytest.raises(ValueError, match="the product form applies to "
+                                             "families L and R only"):
             build_twist(fam, direction, 1, form="product")
 
 
@@ -711,24 +724,42 @@ def test_closed_inverses_are_the_geometric_inverses(u):
 
 def test_an_order_past_the_largest_exponent_is_refused_at_once(
         monkeypatch, capsys):
-    # no key holds an exponent or u-degree above MAX_DEGREE; every builder
-    # raises here, so an order that reaches one fails at once, not late
+    # no key holds an exponent or u-degree above MAX_DEGREE, and an order or
+    # bound below 0 names no series; every builder, suite and matrix raises
+    # here, so each entry point refuses 32768 and -1 before building anything
     def refused(*args):
         raise AssertionError("built with %r" % (args,))
     for name in ("_closed_F0", "_closed_F1", "_closed_L", "_closed_R_inverse",
                  "_product_family"):
         monkeypatch.setattr(twists, name, refused)
-    for fam, direction in sorted(PRODUCT_BUILDS):
-        with pytest.raises(ValueError, match="at most 32767"):
-            build_twist(fam, direction, MAX_DEGREE + 1)
-    for name in twists.CHECKS:
-        with pytest.raises(ValueError, match="at most 32767"):
-            run_suite([name], MAX_DEGREE + 1)
-    for argv in (["expand", "--family", "0"], ["verify", "--all"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--order", str(MAX_DEGREE + 1)])
-        assert exc.value.code == 2
-        assert "at most 32767" in capsys.readouterr().err
+    for name in ("_bigident_instances", "_chain_L_instances",
+                 "_chain_R_instances", "independence_matrix"):
+        monkeypatch.setattr(identities, name, refused)
+    for n in (MAX_DEGREE + 1, -1):
+        rule = r"must be an int in [01]\.\.32767, got %d$" % n
+        calls = [partial(run_suite, [name], n) for name in twists.CHECKS]
+        calls += [partial(build_twist, fam, direction, n)
+                  for fam, direction in sorted(PRODUCT_BUILDS)]
+        calls += [partial(identities.verify_identity_chain, chain, n)
+                  for chain in identities.SUITES]
+        calls += [partial(f, n) for f in (identities.independence_det,
+                                          identities.check_independence,
+                                          twists.check_v_family)]
+        for call in calls:
+            with pytest.raises(ValueError, match=rule):
+                call()
+        for argv in (["expand", "--family", "0", "--order"],
+                     ["verify", "--all", "--order"],
+                     ["identities", "--bigident", "--bound"],
+                     ["identities", "--chain", "L", "--bound"],
+                     ["identities", "--chain", "R", "--bound"],
+                     ["identities", "--det"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + [str(n)])
+            assert exc.value.code == 2
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if "error:" in line]
+            assert len(errors) == 1 and re.search(rule, errors[0])
 
 
 @pytest.mark.parametrize("fam,direction", sorted(PRODUCT_BUILDS))
@@ -804,7 +835,8 @@ def test_run_suite_smoke():
         run_suite(checks=["bogus"])
 
 
-@pytest.mark.parametrize("order,rule", [(0, "at least 1"), (2.0, "an int"),
+@pytest.mark.parametrize("order,rule", [(0, r"an int in 1\.\.32767, got 0"),
+                                        (2.0, "an int"),
                                         (True, "an int")],
                          ids=["0", "2.0", "True"])
 def test_run_suite_refuses_order_zero(order, rule):
