@@ -26,7 +26,7 @@ import argparse
 import json
 from itertools import groupby
 
-from .exactalg import MAX_DEGREE, MAX_LEGS, DPoly, UPoly
+from .exactalg import MAX_DEGREE, MAX_LEGS, DPoly, UPoly, refuse_degree
 
 SCHEMA_VERSION = 1
 
@@ -324,6 +324,11 @@ def _cmd_verify(args, parser):
 def _cmd_identities(args, parser):
     if args.bound is not None and not (args.bigident or args.chain):
         parser.error("--bound applies to --bigident and --chain only")
+    # every given input is refused before the first suite runs, by the rule
+    # and with the message that the library applies to each report
+    for value, what in ((args.bound, "bound"), (args.det, "order")):
+        if value is not None:
+            refuse_degree(value, what)
     reports = []
     if args.bigident:
         reports.append(identities.verify_identity_chain("bigident", args.bound))

@@ -256,42 +256,28 @@ def verify_identity_chain(chain, bound=None):
 # linear independence of (u-1)^k u^(n-k)
 # ---------------------------------------------------------------------------
 
-def independence_matrix(n):
-    """Rows: coefficients of (u-1)^k u^(n-k) in the basis u^n, ..., u, 1;
-    the u^d term of p_k = (u-1)^k = p_(k-1)*(u-1) lands in column k-d.  A
-    row with a term above u^n, which no column holds, raises ValueError.
-    The entries are ints: (u-1)^k has integer coefficients, so each row is
-    read off the numerators of p_k, whose denominator is 1."""
-    rows, p = [], UPoly.const(1)
-    step = UPoly.u() - 1
-    for k in range(n + 1):
-        coeffs = p.num
-        if max(coeffs, default=0) > k:
-            raise ValueError("row %d has a term above u^%d" % (k, n))
-        rows.append([coeffs.get(k - m, 0) for m in range(n + 1)])
-        p = p * step
-    return rows
-
-
 def independence_det(n):
-    """Exact determinant of the change-of-basis matrix (unimodular: +-1),
-    read off its lower-triangular form: row k's lowest term, (-1)^k u^(n-k),
-    is on the diagonal.  An order outside 0..MAX_DEGREE, or a row with a
-    term right of the diagonal or above u^n, raises ValueError."""
+    """Exact determinant of the change of basis from u^n, ..., u, 1 to
+    (u-1)^k u^(n-k) (unimodular: +-1).  Row k holds p_k = (u-1)^k in columns
+    k-d for its u^d terms; no term has d < 0, so the matrix is lower
+    triangular and the determinant is the product of the constant terms of
+    p_0..p_n, read in one pass that keeps one p_k.  An order outside
+    0..MAX_DEGREE, or a row with a term above u^n, raises ValueError."""
     refuse_degree(n, "order")  # row 0, u^n, has u-degree n
-    det = 1
-    for k, row in enumerate(independence_matrix(n)):
-        if any(row[k + 1:]):
-            raise ValueError("row %d has a term below u^%d" % (k, n - k))
-        det *= row[k]
+    det, p, step = 1, UPoly.const(1), UPoly.u() - 1
+    for k in range(n + 1):
+        if k:  # no p_(n+1): at n = MAX_DEGREE its u-degree has no key
+            p = p * step
+        if max(p.num, default=0) > k:
+            raise ValueError("row %d has a term above u^%d" % (k, n))
+        det *= p.num.get(0, 0)  # (u-1)^k has integer coefficients: den 1
     return det
 
 
 def check_independence(n):
-    """The basis change at order n is unimodular: |det| = 1.  A matrix that
-    is not lower triangular, or a row with a term above u^n, fails, its note
-    naming the row; an order that is not an int in 0..MAX_DEGREE raises
-    ValueError before any row is built."""
+    """The basis change at order n is unimodular: |det| = 1.  A row with a
+    term above u^n fails, its note naming the row; an order that is not an
+    int in 0..MAX_DEGREE raises ValueError before any row is built."""
     refuse_degree(n, "order")  # raised, not a failed report
     try:
         det = independence_det(n)

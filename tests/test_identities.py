@@ -10,7 +10,6 @@ from jortwist.exactalg import (MAX_DEGREE, MAX_LEGS, DPoly, UPoly,
                                binom_poly, int_binom)
 from jortwist.identities import (SAMPLE_COUNT, SAMPLE_POINTS, SAMPLE_SEED,
                                  _sample_check, independence_det,
-                                 independence_matrix,
                                  verify_bigident, verify_bigident_index_swap,
                                  verify_identity_chain)
 
@@ -219,7 +218,6 @@ class TestIndependenceDet:
 
     def test_order_two(self):
         # oracle: exact determinant of [[1,0,0],[1,-1,0],[1,-2,1]]
-        assert independence_matrix(2) == [[1, 0, 0], [1, -1, 0], [1, -2, 1]]
         assert independence_det(2) == -1
 
     @pytest.mark.parametrize("n", [*range(9), 100])
@@ -232,17 +230,47 @@ class TestIndependenceDet:
         # an int
         assert independence_det(n) == (-1) ** (n * (n + 1) // 2)
         assert type(independence_det(n)) is int
-        assert all(type(v) is int for row in independence_matrix(n)
-                   for v in row)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             independence_det(-1)
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_n_products_build_p_0_to_p_n(self, monkeypatch, n):
+        # p_(n+1) is never formed: at n = 32767 its u-degree 32768 raises
+        # in the kernel, and the check would fail a valid order
+        products = []
+        mul = DPoly.__mul__
+        monkeypatch.setattr(DPoly, "__mul__",
+                            lambda a, b: products.append(b) or mul(a, b))
+        assert abs(independence_det(n)) == 1
+        assert len(products) == n
+
+    def test_one_basis_polynomial_at_a_time(self):
+        # each p_k = (u-1)^k is dropped once its constant term is read, so
+        # no (n+1) x (n+1) matrix of big ints is held (9.4 MiB at n = 500)
+        tracemalloc.start()
+        try:
+            assert identities.check_independence(500).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestIndependenceOrder:
     """An order outside 0..32767 is refused before any row is built: row 0,
-    u^n, has u-degree n, and a key holds at most 32767."""
+    u^n, has u-degree n, and a key holds at most 32767.  The rows are the
+    powers of UPoly.u() - 1, so a UPoly.u that raises marks a row begun."""
+
+    class RowBegun(Exception):
+        pass
+
+    @classmethod
+    def unbuilt(cls, monkeypatch):
+        def u():
+            raise cls.RowBegun
+        monkeypatch.setattr(UPoly, "u", staticmethod(u))
 
     @pytest.mark.parametrize("n,rule", [
         (-1, r"an int in 0\.\.32767, got -1"),
@@ -252,46 +280,21 @@ class TestIndependenceOrder:
                                        "check_independence"])
     def test_out_of_range_raises_before_any_row(self, monkeypatch, check, n,
                                                 rule):
-        def unbuilt(n):
-            raise AssertionError("a row was built for order %d" % n)
-        monkeypatch.setattr(identities, "independence_matrix", unbuilt)
+        self.unbuilt(monkeypatch)
         with pytest.raises(ValueError, match="must be " + rule):
             getattr(identities, check)(n)
 
-    def test_largest_order_reaches_the_matrix(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(identities, "independence_matrix",
-                            lambda n: built.append(n) or [])
-        assert identities.check_independence(MAX_DEGREE).passed
-        assert built == [MAX_DEGREE]
+    @pytest.mark.parametrize("check", ["independence_det",
+                                       "check_independence"])
+    def test_largest_order_reaches_its_first_row(self, monkeypatch, check):
+        self.unbuilt(monkeypatch)
+        with pytest.raises(self.RowBegun):
+            getattr(identities, check)(MAX_DEGREE)
 
 
 class TestIndependenceMutations:
-    """independence_det reads the matrix through the module name, so a
-    mutated identities.independence_matrix reaches the check."""
-
-    @staticmethod
-    def mutate(monkeypatch, row, col, value):
-        build = identities.independence_matrix
-
-        def mutated(n):
-            rows = build(n)
-            rows[row][col] = Fraction(value)
-            return rows
-        monkeypatch.setattr(identities, "independence_matrix", mutated)
-
-    def test_term_right_of_the_diagonal_fails_naming_its_row(
-            self, monkeypatch, capsys):
-        # row 1 is (u-1) u^2 = u^3 - u^2; a 5 u term is below u^2
-        self.mutate(monkeypatch, 1, 2, 5)
-        rep = identities.check_independence(3)
-        assert not rep.passed
-        assert rep.notes == ["row 1 has a term below u^2"]
-        assert cli.main(["identities", "--det", "3"]) == 1
-        out, err = capsys.readouterr()
-        assert out.splitlines() == ["independence   FAIL order=3",
-                                    "    note: row 1 has a term below u^2"]
-        assert err == ""
+    """independence_det builds its rows from UPoly.u(), so a mutated UPoly.u
+    reaches the check."""
 
     def test_term_above_u_to_the_n_fails_naming_its_row(self, monkeypatch):
         # with the step u + u^2 - 1, row 1 is (u^2 + u - 1) u^2: its u^4
@@ -302,9 +305,17 @@ class TestIndependenceMutations:
         assert not rep.passed
         assert rep.notes == ["row 1 has a term above u^3"]
 
-    def test_pivot_two_fails_with_det_two(self, monkeypatch):
-        # the diagonal 1, -1, 2, -1 multiplies to 2
-        self.mutate(monkeypatch, 2, 2, 2)
+    def test_pivots_minus_two_fail_with_their_product(self, monkeypatch,
+                                                     capsys):
+        # with the step u - 2, row k is (u-2)^k u^(3-k): the diagonal
+        # 1, -2, 4, -8 multiplies to 64
+        u = UPoly.u
+        monkeypatch.setattr(UPoly, "u", staticmethod(lambda: u() - 1))
         rep = identities.check_independence(3)
         assert not rep.passed
-        assert rep.notes == ["det = 2"]
+        assert rep.notes == ["det = 64"]
+        assert cli.main(["identities", "--det", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["independence   FAIL order=3",
+                                    "    note: det = 64"]
+        assert err == ""

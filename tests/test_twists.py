@@ -725,16 +725,19 @@ def test_closed_inverses_are_the_geometric_inverses(u):
 def test_an_order_past_the_largest_exponent_is_refused_at_once(
         monkeypatch, capsys):
     # no key holds an exponent or u-degree above MAX_DEGREE, and an order or
-    # bound below 0 names no series; every builder, suite and matrix raises
-    # here, so each entry point refuses 32768 and -1 before building anything
+    # bound below 0 names no series; every builder and suite, and UPoly.u,
+    # from which the independence rows are built, raises here, so each entry
+    # point refuses 32768 and -1 before building anything, and `identities`
+    # refuses every given input before its first suite runs
     def refused(*args):
         raise AssertionError("built with %r" % (args,))
     for name in ("_closed_F0", "_closed_F1", "_closed_L", "_closed_R_inverse",
                  "_product_family"):
         monkeypatch.setattr(twists, name, refused)
     for name in ("_bigident_instances", "_chain_L_instances",
-                 "_chain_R_instances", "independence_matrix"):
+                 "_chain_R_instances"):
         monkeypatch.setattr(identities, name, refused)
+    monkeypatch.setattr(UPoly, "u", staticmethod(refused))
     for n in (MAX_DEGREE + 1, -1):
         rule = r"must be an int in [01]\.\.32767, got %d$" % n
         calls = [partial(run_suite, [name], n) for name in twists.CHECKS]
@@ -748,14 +751,16 @@ def test_an_order_past_the_largest_exponent_is_refused_at_once(
         for call in calls:
             with pytest.raises(ValueError, match=rule):
                 call()
-        for argv in (["expand", "--family", "0", "--order"],
-                     ["verify", "--all", "--order"],
-                     ["identities", "--bigident", "--bound"],
-                     ["identities", "--chain", "L", "--bound"],
-                     ["identities", "--chain", "R", "--bound"],
-                     ["identities", "--det"]):
+        for argv in ("expand --family 0 --order %d",
+                     "verify --all --order %d",
+                     "identities --bigident --bound %d",
+                     "identities --chain L --bound %d",
+                     "identities --chain R --bound %d",
+                     "identities --det %d",
+                     "identities --bigident --bound 2 --det %d",
+                     "identities --chain R --bound %d --det 5"):
             with pytest.raises(SystemExit) as exc:
-                cli.main(argv + [str(n)])
+                cli.main((argv % n).split())
             assert exc.value.code == 2
             errors = [line for line in capsys.readouterr().err.splitlines()
                       if "error:" in line]
