@@ -31,6 +31,21 @@ from .exactalg import MAX_DEGREE, MAX_LEGS, DPoly, UPoly, refuse_degree
 SCHEMA_VERSION = 1
 
 
+class _EveryDigit:
+    """Lifts the interpreter's limit on the digits of an int converted to or
+    from a string until exit, so that every integer computed is printed and
+    reads back.  Python before 3.10.7 has no limit (0 stands for none)."""
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", int)()
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -90,49 +105,54 @@ def element_from_dict(data):
     from fractions import Fraction
 
     from .borel import TensorElement
-    if not isinstance(data, dict):
-        raise ValueError("expected a JSON object, got %r" % (data,))
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValueError("unsupported schema version %r" % data.get("schema"))
-    legs = _field(data, "legs", int, "legs")
-    if not 1 <= legs <= MAX_LEGS:
-        raise ValueError("legs: must be between 1 and %d, got %d"
-                         % (MAX_LEGS, legs))
-    truncation = _field(data, "truncation", int, "truncation")
-    terms = {}
-    for at, t in _entries(data, "terms", dict, "terms"):
-        key = tuple((_field(leg, "p", int, lat + ".p"),
-                     _field(leg, "q", int, lat + ".q"))
-                    for lat, leg in _entries(t, "legs", dict, at + ".legs",
-                                             legs))
-        grade = sum(p for p, _ in key)
-        if grade > truncation:
-            raise ValueError("%s.legs: grade %d exceeds the truncation %d"
-                             % (at, grade, truncation))
-        power = _field(t, "kappa_power", int, at + ".kappa_power")
-        if power != grade:
-            raise ValueError("%s.kappa_power: expected %d, the sum of the "
-                             "legs' p, got %d" % (at, grade, power))
-        dterms = {}
-        for mat, mono in _entries(t, "dpoly", dict, at + ".dpoly"):
-            coeffs = {}
-            for cat, pair in _entries(mono, "upoly", list, mat + ".upoly"):
-                text = _field(pair, 1, str, cat + "[1]")
-                try:
-                    value = Fraction(text)
-                except (ValueError, ZeroDivisionError):
-                    raise ValueError("%s[1]: bad fraction %r"
-                                     % (cat, text)) from None
-                deg = _field(pair, 0, int, cat + "[0]")
-                _unique(deg, coeffs, cat + "[0]")
-                coeffs[deg] = value
-            exps = _entries(mono, "exps", int, mat + ".exps", legs)
-            exps = tuple(e for _, e in exps)
-            _unique(exps, dterms, mat + ".exps")
-            dterms[exps] = UPoly(coeffs)
-        _unique(key, terms, at + ".legs")
-        terms[key] = DPoly(legs, dterms)
-    return TensorElement(legs, truncation, terms)
+    with _EveryDigit():
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object, got %r" % (data,))
+        if data.get("schema") != SCHEMA_VERSION:
+            raise ValueError("unsupported schema version %r"
+                             % data.get("schema"))
+        legs = _field(data, "legs", int, "legs")
+        if not 1 <= legs <= MAX_LEGS:
+            raise ValueError("legs: must be between 1 and %d, got %d"
+                             % (MAX_LEGS, legs))
+        truncation = _field(data, "truncation", int, "truncation")
+        terms = {}
+        for at, t in _entries(data, "terms", dict, "terms"):
+            key = tuple((_field(leg, "p", int, lat + ".p"),
+                         _field(leg, "q", int, lat + ".q"))
+                        for lat, leg in _entries(t, "legs", dict, at + ".legs",
+                                                 legs))
+            grade = sum(p for p, _ in key)
+            if grade > truncation:
+                raise ValueError("%s.legs: grade %d exceeds the truncation %d"
+                                 % (at, grade, truncation))
+            power = _field(t, "kappa_power", int, at + ".kappa_power")
+            if power != grade:
+                raise ValueError("%s.kappa_power: expected %d, the sum of the "
+                                 "legs' p, got %d" % (at, grade, power))
+            dterms = {}
+            for mat, mono in _entries(t, "dpoly", dict, at + ".dpoly"):
+                coeffs = {}
+                for cat, pair in _entries(mono, "upoly", list, mat + ".upoly"):
+                    text = _field(pair, 1, str, cat + "[1]")
+                    try:
+                        value = Fraction(text)
+                    except (ValueError, ZeroDivisionError):
+                        raise ValueError("%s[1]: bad fraction %r"
+                                         % (cat, text)) from None
+                    deg = _field(pair, 0, int, cat + "[0]")
+                    refuse_degree(deg, cat + "[0]")
+                    _unique(deg, coeffs, cat + "[0]")
+                    coeffs[deg] = value
+                exps = _entries(mono, "exps", int, mat + ".exps", legs)
+                for eat, e in exps:
+                    refuse_degree(e, eat)
+                exps = tuple(e for _, e in exps)
+                _unique(exps, dterms, mat + ".exps")
+                dterms[exps] = UPoly(coeffs)
+            _unique(key, terms, at + ".legs")
+            terms[key] = DPoly(legs, dterms)
+        return TensorElement(legs, truncation, terms)
 
 
 def _coef_str(coef):
@@ -358,16 +378,17 @@ def main(argv=None):
     arguments.  `--u V` is read as `--u=V`, so V may be a negative
     rational.  The library refuses bad input with a ValueError, which
     becomes a usage error of the command (exit 2)."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    while "--u" in argv[:-1]:  # argparse reads a separate "-3/2" as an option
-        i = argv.index("--u")
-        argv[i:i + 2] = ["--u=" + argv[i + 1]]
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
-    try:
-        return args.run(args, args.parser)
-    except ValueError as exc:
-        args.parser.error(str(exc))
+    with _EveryDigit():
+        argv = sys.argv[1:] if argv is None else list(argv)
+        while "--u" in argv[:-1]:  # argparse reads "-3/2" as an option
+            i = argv.index("--u")
+            argv[i:i + 2] = ["--u=" + argv[i + 1]]
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = _build_parser(command).parse_args(argv)
+        try:
+            return args.run(args, args.parser)
+        except ValueError as exc:
+            args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

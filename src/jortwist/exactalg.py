@@ -14,6 +14,7 @@ each imports the module when it is called.
 
 from __future__ import annotations
 
+import functools
 import math
 
 MAX_LEGS = 3
@@ -480,9 +481,7 @@ def _ratio_powers(v, m):
     return out
 
 
-_ROWS = {}
-
-
+@functools.cache
 def _row(sh, e, s, c):
     """The nonzero terms (j << sh, C(e, j) s^j c^(e-j)) of (s*x + c)^e, x's
     field being at sh.
@@ -490,18 +489,11 @@ def _row(sh, e, s, c):
     Memoised by (sh, e, s, c), so the returned row is shared between calls
     and must not be mutated.
     """
-    key = (sh, e, s, c)
-    row = _ROWS.get(key)
-    if row is None:
-        row = _ROWS[key] = [
-            (j << sh, t) for j in range(e + 1)
+    return [(j << sh, t) for j in range(e + 1)
             if (t := math.comb(e, j) * s**j * c**(e - j))]
-    return row
 
 
-_BINOM = {}
-
-
+@functools.cache
 def binom_poly(T, k):
     """Binomial symbol with polynomial argument: T(T-1)...(T-k+1)/k!.
 
@@ -510,15 +502,10 @@ def binom_poly(T, k):
     """
     if k < 0:
         raise ValueError("binomial lower index must be nonnegative")
-    key = (T, k)
-    res = _BINOM.get(key)
-    if res is None:
-        res = DPoly.const(T.legs, 1)
-        for j in range(k):
-            res = res * (T - j)
-        res = _BINOM[key] = DPoly.from_num(res.legs, res.num,
-                                           res.den * math.factorial(k))
-    return res
+    res = DPoly.const(T.legs, 1)
+    for j in range(k):
+        res = res * (T - j)
+    return DPoly.from_num(res.legs, res.num, res.den * math.factorial(k))
 
 
 def int_binom(n, k):

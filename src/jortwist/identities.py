@@ -10,7 +10,9 @@ verify_identity_chain keeps only the count and the first failure.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import namedtuple
 from itertools import product
 
 from .exactalg import (MAX_LEGS, DPoly, UPoly, binom_poly, int_binom,
@@ -31,15 +33,8 @@ SAMPLE_COUNT = 20
 SAMPLE_SEED = 20201214
 
 
-class IdentityInstance:
-    """One identity at fixed indices: both sides and whether they agree."""
-
-    def __init__(self, chain, params, lhs, rhs, equal):
-        self.chain = chain
-        self.params = params
-        self.lhs = lhs
-        self.rhs = rhs
-        self.equal = equal
+# One identity at fixed indices: both sides and whether they agree.
+IdentityInstance = namedtuple("IdentityInstance", "chain params lhs rhs equal")
 
 
 def _draw_points(legs):
@@ -59,8 +54,7 @@ def _sample_check(lhs, rhs):
 
 
 def _instance(chain, params, lhs, rhs):
-    equal = lhs == rhs
-    return IdentityInstance(chain, params, lhs, rhs, equal)
+    return IdentityInstance(chain, params, lhs, rhs, lhs == rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +256,27 @@ def independence_det(n):
     k-d for its u^d terms; no term has d < 0, so the matrix is lower
     triangular and the determinant is the product of the constant terms of
     p_0..p_n, read in one pass that keeps one p_k.  An order outside
-    0..MAX_DEGREE, or a row with a term above u^n, raises ValueError."""
+    0..MAX_DEGREE, a row with a term above u^n, or a determinant that is not
+    an integer raises ValueError."""
     refuse_degree(n, "order")  # row 0, u^n, has u-degree n
-    det, p, step = 1, UPoly.const(1), UPoly.u() - 1
+    num, den, p, step = 1, 1, UPoly.const(1), UPoly.u() - 1
     for k in range(n + 1):
         if k:  # no p_(n+1): at n = MAX_DEGREE its u-degree has no key
             p = p * step
         if max(p.num, default=0) > k:
             raise ValueError("row %d has a term above u^%d" % (k, n))
-        det *= p.num.get(0, 0)  # (u-1)^k has integer coefficients: den 1
-    return det
+        num *= p.num.get(0, 0)  # p_k's constant term over p.den
+        den *= p.den
+    if num % den:
+        g = math.gcd(num, den)
+        raise ValueError("det = %d/%d, not an integer" % (num // g, den // g))
+    return num // den
 
 
 def check_independence(n):
     """The basis change at order n is unimodular: |det| = 1.  A row with a
-    term above u^n fails, its note naming the row; an order that is not an
-    int in 0..MAX_DEGREE raises ValueError before any row is built."""
+    term above u^n, or a det that is not an int, fails with a note; an order
+    not an int in 0..MAX_DEGREE raises ValueError before any row is built."""
     refuse_degree(n, "order")  # raised, not a failed report
     try:
         det = independence_det(n)

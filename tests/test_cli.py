@@ -152,6 +152,40 @@ def test_parse_u_reads_what_fraction_reads(text):
         assert got.legs == 0 and not any(got.num)  # a constant UPoly
 
 
+class TestEveryDigit:
+    """The interpreter refuses to convert an int of more than 4300 digits
+    to or from a string; the program prints every integer it computes, and
+    reads back what it printed, and leaves the limit as it found it."""
+
+    @staticmethod
+    def limit():
+        return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+    def test_expand_prints_a_u_past_the_limit_and_reads_it_back(self, capsys):
+        before = self.limit()
+        code, out = run(["expand", "--family", "R", "--order", "10",
+                         "--u", "1e500", "--format", "json"], capsys)
+        assert code == 0
+        assert self.limit() == before
+        assert (element_from_dict(json.loads(out))
+                == twists.build_twist("R", "twist", 10, 10**500))
+        assert self.limit() == before
+
+    def test_verify_reports_a_u_past_the_limit(self, capsys):
+        code, out = run(["verify", "--check", "forms", "--order", "2",
+                         "--u", "1e5000", "--format", "json"], capsys)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert reports and all(r["params"]["u"] == "1" + "0" * 5000
+                               for r in reports)
+
+    def test_limit_is_restored_after_a_usage_error(self, capsys):
+        before = self.limit()
+        with pytest.raises(SystemExit):
+            cli.main(["expand", "--family", "L", "--order", "-1"])
+        assert self.limit() == before
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--check", "lr", "--order", "1", "--ascii"],
     ["identities", "--det", "2", "--ascii"],
@@ -411,12 +445,17 @@ class TestSerialization:
          "terms[1].dpoly[0].exps: expected 2 entries"),
         (lambda d: d["terms"][1]["dpoly"][0]["exps"].__setitem__(1, 0.5),
          "terms[1].dpoly[0].exps[1]: expected int"),
+        (lambda d: d["terms"][1]["dpoly"][0]["exps"].__setitem__(0, 40000),
+         "terms[1].dpoly[0].exps[0] must be an int in 0..32767, got 40000"),
         (lambda d: d["terms"][1]["dpoly"][0].update(upoly=None),
          "terms[1].dpoly[0].upoly: expected list"),
         (lambda d: d["terms"][1]["dpoly"][0]["upoly"][0].pop(),
          "terms[1].dpoly[0].upoly[0][1]: missing"),
         (lambda d: d["terms"][1]["dpoly"][0]["upoly"][0].__setitem__(0, "1"),
          "terms[1].dpoly[0].upoly[0][0]: expected int"),
+        (lambda d: d["terms"][1]["dpoly"][0]["upoly"][0].__setitem__(0, 40000),
+         "terms[1].dpoly[0].upoly[0][0] must be an int in 0..32767, "
+         "got 40000"),
         (lambda d: d["terms"][1]["dpoly"][0]["upoly"][0].__setitem__(1, "x"),
          "terms[1].dpoly[0].upoly[0][1]: bad fraction 'x'"),
         (lambda d: d["terms"][1]["dpoly"][0]["upoly"][0].__setitem__(1, "1/0"),

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from jortwist.exactalg import (_GUARD, _MASK, _TOP, _W, MAX_LEGS, DPoly,
-                               UPoly, binom_poly)
+                               UPoly, _row, binom_poly)
 
 from jortwist.borel import TensorElement
 
@@ -80,6 +80,27 @@ class TestBinomPoly:
         T = var(1, 1)
         assert binom_poly(T, k) == (binom_poly(T - 1, k)
                                     + binom_poly(T - 1, k - 1))
+
+    def test_equal_arguments_share_one_result(self):
+        # memoised: the result is shared between calls, so no caller may
+        # mutate it
+        T = var(2, 1) + var(2, 2) - 3
+        assert binom_poly(T, 4) is binom_poly(T + 0, 4)
+
+    def test_negative_lower_index_raises_on_every_call(self):
+        # a raised call is not memoised: the second call raises too
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                binom_poly(var(1, 1), -1)
+
+
+class TestRow:
+    def test_equal_arguments_share_one_row(self):
+        # (-x + 2)^3 = -x^3 + 6x^2 - 12x + 8, x's field at _W; memoised, so
+        # the row is shared between calls and no caller may mutate it
+        row = _row(_W, 3, -1, 2)
+        assert row == [(0, 8), (1 << _W, -12), (2 << _W, 6), (3 << _W, -1)]
+        assert _row(_W, 3, -1, 2) is row
 
 
 class TestSplitVariable:

@@ -9,6 +9,7 @@ from jortwist import cli, identities
 from jortwist.exactalg import (MAX_DEGREE, MAX_LEGS, DPoly, UPoly,
                                binom_poly, int_binom)
 from jortwist.identities import (SAMPLE_COUNT, SAMPLE_POINTS, SAMPLE_SEED,
+                                 IdentityInstance, _instance,
                                  _sample_check, independence_det,
                                  verify_bigident, verify_bigident_index_swap,
                                  verify_identity_chain)
@@ -111,6 +112,20 @@ class TestChains:
         y = DPoly.variable(2, 2)
         assert binom_poly(y - 1 - 2, 0) == DPoly.const(2, 1)
         assert binom_poly(-y + 2, 0) == DPoly.const(2, 1)
+
+
+class TestIdentityInstance:
+    def test_fields_in_the_order_the_golden_digest_reads(self):
+        x = DPoly.variable(1, 1)
+        assert IdentityInstance._fields == ("chain", "params", "lhs", "rhs",
+                                            "equal")
+        assert (_instance("c", {"k": 1}, binom_poly(x, 1), x)
+                == ("c", {"k": 1}, x, x, True))
+
+    def test_a_field_cannot_be_assigned(self):
+        inst = _instance("c", {}, DPoly(1), DPoly(1))
+        with pytest.raises(AttributeError):
+            inst.equal = False
 
 
 class TestSuites:
@@ -304,6 +319,28 @@ class TestIndependenceMutations:
         rep = identities.check_independence(3)
         assert not rep.passed
         assert rep.notes == ["row 1 has a term above u^3"]
+
+    def test_pivots_of_a_rational_step_are_read_exactly(self, monkeypatch):
+        # with the step u/2 - 1, p_k has denominator 2^k and constant term
+        # (-1)^k: the numerator alone read as (-2)^k gave det = 64
+        u = UPoly.u
+        monkeypatch.setattr(UPoly, "u",
+                            staticmethod(lambda: u() * Fraction(1, 2)))
+        rep = identities.check_independence(3)
+        assert rep.passed
+        assert rep.notes == ["det = 1"]
+
+    def test_determinant_that_is_not_an_integer_fails(self, monkeypatch):
+        # with the step u - 1/2, the pivots (-1/2)^k multiply to 1/64;
+        # reading the numerators alone gave det = 1, a pass
+        u = UPoly.u
+        monkeypatch.setattr(UPoly, "u",
+                            staticmethod(lambda: u() + Fraction(1, 2)))
+        rep = identities.check_independence(3)
+        assert not rep.passed
+        assert rep.notes == ["det = 1/64, not an integer"]
+        with pytest.raises(ValueError, match="det = -1/2, not an integer"):
+            independence_det(1)
 
     def test_pivots_minus_two_fail_with_their_product(self, monkeypatch,
                                                      capsys):
