@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .exactalg import MAX_LEGS, DPoly, UPoly
+from .exactalg import MAX_LEGS, DPoly, UPoly, refuse_degree
 
 
 def _key_grade(key):
@@ -39,9 +39,7 @@ class TensorElement:
         if type(legs) is not int or not 1 <= legs <= MAX_LEGS:
             raise ValueError("legs must be between 1 and %d, got %r"
                              % (MAX_LEGS, legs))
-        if type(truncation) is not int or truncation < 0:
-            raise ValueError("truncation order must be a nonnegative int, "
-                             "got %r" % (truncation,))
+        refuse_degree(truncation, "truncation order")
         self.legs = legs
         self.truncation = truncation
         cleaned = {}

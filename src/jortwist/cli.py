@@ -26,24 +26,10 @@ import argparse
 import json
 from itertools import groupby
 
-from .exactalg import MAX_DEGREE, MAX_LEGS, DPoly, UPoly, refuse_degree
+from .exactalg import (MAX_DEGREE, MAX_LEGS, DPoly, UPoly, _EveryDigit,
+                       refuse_degree)
 
 SCHEMA_VERSION = 1
-
-
-class _EveryDigit:
-    """Lifts the interpreter's limit on the digits of an int converted to or
-    from a string until exit, so that every integer computed is printed and
-    reads back.  Python before 3.10.7 has no limit (0 stands for none)."""
-
-    def __enter__(self):
-        self.limit = getattr(sys, "get_int_max_str_digits", int)()
-        if self.limit:
-            sys.set_int_max_str_digits(0)
-
-    def __exit__(self, *exc):
-        if self.limit:
-            sys.set_int_max_str_digits(self.limit)
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +38,15 @@ class _EveryDigit:
 
 def element_to_dict(e):
     terms = []
-    for (grade, key), group in groupby(e.monomials(), key=lambda m: m[:2]):
-        dpoly = [{"exps": list(exps),
-                  "upoly": [[deg, "%d/%d" % (n, d)]
-                            for deg, n, d in coef.ratios()]}
-                 for _, _, exps, coef in group]
-        terms.append({"kappa_power": grade,
-                      "legs": [{"p": p, "q": q} for p, q in key],
-                      "dpoly": dpoly})
+    with _EveryDigit():
+        for (grade, key), group in groupby(e.monomials(), key=lambda m: m[:2]):
+            dpoly = [{"exps": list(exps),
+                      "upoly": [[deg, "%d/%d" % (n, d)]
+                                for deg, n, d in coef.ratios()]}
+                     for _, _, exps, coef in group]
+            terms.append({"kappa_power": grade,
+                          "legs": [{"p": p, "q": q} for p, q in key],
+                          "dpoly": dpoly})
     return {
         "schema": SCHEMA_VERSION,
         "legs": e.legs,
@@ -116,6 +103,7 @@ def element_from_dict(data):
             raise ValueError("legs: must be between 1 and %d, got %d"
                              % (MAX_LEGS, legs))
         truncation = _field(data, "truncation", int, "truncation")
+        refuse_degree(truncation, "truncation")
         terms = {}
         for at, t in _entries(data, "terms", dict, "terms"):
             key = tuple((_field(leg, "p", int, lat + ".p"),

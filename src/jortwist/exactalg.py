@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 MAX_LEGS = 3
 VAR_NAMES = ("x", "y", "z")
@@ -37,6 +38,21 @@ def refuse_degree(n, what, low=0):
     if type(n) is not int or not low <= n <= MAX_DEGREE:
         raise ValueError("%s must be an int in %d..%d, got %r"
                          % (what, low, MAX_DEGREE, n))
+
+
+class _EveryDigit:
+    """Lifts the interpreter's limit on the digits of an int converted to or
+    from a string until exit, so that every integer computed is printed and
+    reads back.  Python before 3.10.7 has no limit (0 stands for none)."""
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", int)()
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
 
 
 def _ratio(value):
@@ -433,13 +449,14 @@ class UPoly(DPoly):
 
     def __str__(self):
         out = ""
-        for deg, n, d in reversed(self.ratios()):
-            mono = "%d" % n if d == 1 else "%d/%d" % (n, d)
-            if deg:
-                uv = "u" if deg == 1 else "u^%d" % deg
-                mono = (uv if mono == "1" else "-" + uv if mono == "-1"
-                        else "%s*%s" % (mono, uv))
-            out += "+" + mono if out and mono[0] != "-" else mono
+        with _EveryDigit():
+            for deg, n, d in reversed(self.ratios()):
+                mono = "%d" % n if d == 1 else "%d/%d" % (n, d)
+                if deg:
+                    uv = "u" if deg == 1 else "u^%d" % deg
+                    mono = (uv if mono == "1" else "-" + uv if mono == "-1"
+                            else "%s*%s" % (mono, uv))
+                out += "+" + mono if out and mono[0] != "-" else mono
         return out or "0"
 
 

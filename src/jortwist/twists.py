@@ -1,17 +1,17 @@
 """Twist families over the Borel algebra and their verification checks.
 
-INTERPOLATING declares the families L and R, each built two independent
-ways: the product form (chi (x) chi) J Delta(chi^-1), the Jordanian twist J
-further twisted with the 1-cochain chi = exp(u h), and the closed
-double-sum series the paper prints, F_L and F_R^-1, times the LR core
-in the other direction.  ENDPOINTS declares the endpoint twists
-F0 (momentum side) and F1 (dilatation side), closed in both directions.
+FAMILIES declares the four families.  The interpolating ones, L and R, are
+each built two independent ways: the product form (chi (x) chi) J
+Delta(chi^-1), the Jordanian twist J further twisted with the 1-cochain
+chi = exp(u h), and the closed double-sum series the paper prints, F_L and
+F_R^-1, times the LR core in the other direction.  The endpoints they meet
+at u = 0 and u = 1, F0 and F1, are closed in both directions.
 """
 
 from __future__ import annotations
 
 from .exactalg import DPoly, UPoly, binom_poly, refuse_degree
-from .borel import (TensorElement, exp_series, first_difference,
+from .borel import (TensorElement, _key_grade, exp_series, first_difference,
                     log1p_series, sum_of_products)
 from .borel import geometric_inverse  # noqa: F401  (perfbench traces it here)
 from .report import VerificationReport, merge_reports
@@ -139,23 +139,25 @@ def _product_family(c, N, u=None, inverse=False):
 # family tables and twist dispatch
 # ---------------------------------------------------------------------------
 
-# interpolating family -> (cochain constant c of h = P(D + c), the direction
-# whose closed series the paper prints, then the series of that direction
-# and of the other as builder(N, u)): F_R = core F_L and F_L^-1 = F_R^-1 core
-# by the LR relation.  The builders call the closed forms by their module
-# names, so that a wrapper installed on a module attribute sees each call.
-INTERPOLATING = {
+# family -> (cochain constant c of h = P(D + c), or None for an endpoint
+# family, which has no u; the direction whose closed series the paper
+# prints; then the series of that direction and of the other as
+# builder(N, u)): F_R = core F_L and F_L^-1 = F_R^-1 core by the LR
+# relation, and an endpoint is closed in both directions.  The builders call
+# the closed forms by their module names, so that a wrapper installed on a
+# module attribute sees each call.
+FAMILIES = {
+    "0": (None, "twist", lambda N, u: _closed_F0(N),
+          lambda N, u: _closed_F0(N, True)),
+    "1": (None, "twist", lambda N, u: _closed_F1(N),
+          lambda N, u: _closed_F1(N, True)),
     "L": (-1, "twist", lambda N, u: _closed_L(N, u),
           lambda N, u: _closed_R_inverse(N, u) * _lr_core(N, u)),
     "R": (0, "inverse", lambda N, u: _closed_R_inverse(N, u),
           lambda N, u: _lr_core(N, u) * _closed_L(N, u)),
 }
-# endpoint family -> builder(N, inverse): closed in both directions, no u
-ENDPOINTS = {
-    "0": lambda N, inverse: _closed_F0(N, inverse),
-    "1": lambda N, inverse: _closed_F1(N, inverse),
-}
-FAMILIES = tuple(ENDPOINTS) + tuple(INTERPOLATING)
+INTERPOLATING = tuple(f for f, row in FAMILIES.items() if row[0] is not None)
+ENDPOINTS = tuple(f for f, row in FAMILIES.items() if row[0] is None)
 
 
 def _refuse_without_u(family, what):
@@ -181,19 +183,16 @@ def build_twist(family, direction, N, u=None, form=None):
         _refuse_without_u(family, "u")
     if form:
         _refuse_without_u(family, "the %s form" % form)
-    inverse = direction == "inverse"
-    if family in ENDPOINTS:
-        return ENDPOINTS[family](N, inverse)
-    c, printed, series, derived = INTERPOLATING[family]
+    c, printed, series, derived = FAMILIES[family]
     if form:
-        return _product_family(c, N, u, inverse)
+        return _product_family(c, N, u, direction == "inverse")
     return (series if direction == printed else derived)(N, u)
 
 
 def _transcribed(family):
-    """The direction whose closed series the paper prints: the one in
-    INTERPOLATING, or the twist for an endpoint family."""
-    return INTERPOLATING[family][1] if family in INTERPOLATING else "twist"
+    """The direction whose closed series the paper prints, as FAMILIES
+    declares it; "twist" for an unknown family, which build_twist refuses."""
+    return FAMILIES[family][1] if family in FAMILIES else "twist"
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +246,7 @@ def target_antipode(family, generator, N, u=None):
 
 def _compare(check, params, lhs, rhs, notes=None):
     lhs._check_shape(rhs)
-    differing = {sum(p for p, _ in key)
+    differing = {_key_grade(key)
                  for key in lhs.terms.keys() | rhs.terms.keys()
                  if lhs.terms.get(key) != rhs.terms.get(key)}
     grades = {n: n not in differing for n in range(lhs.truncation + 1)}
@@ -293,12 +292,11 @@ def check_cocycle(family, N, u=None):
     F = build_twist(family, direction, N, u)
     one1 = TensorElement.one(1, N)
     notes = []
-    if via_inverse:  # F holds G = F^-1
-        lhs = F.coproduct(1) * F.tensor(one1)
-        rhs = F.coproduct(2) * one1.tensor(F)
-    else:
-        lhs = F.tensor(one1) * F.coproduct(1)
-        rhs = one1.tensor(F) * F.coproduct(2)
+    # (F (x) 1, (Delta (x) id)F) and (1 (x) F, (id (x) Delta)F), multiplied
+    # in reverse order where F holds G = F^-1
+    lhs, rhs = (b * a if via_inverse else a * b for a, b in (
+        (F.tensor(one1), F.coproduct(1)), (one1.tensor(F), F.coproduct(2))))
+    if not via_inverse:
         # cross-check the order-by-order convolution decomposition
         left = [F.grade_slice(n).tensor(one1) for n in range(N + 1)]
         right = [F.grade_slice(n).coproduct(1) for n in range(N + 1)]
@@ -356,8 +354,8 @@ def check_hopf_data(family, N, u=None):
     # chi = sum f(1) S(f(2)); the deformed antipode is chi S(.) chi^-1
     chi = F.fold_mul_antipode()
     reports = []
-    for generator in "PQD":
-        g = _probe(generator, N)
+    for generator, probe in _PROBES.items():
+        g = probe(N)
         notes = []
 
         rep_cop = _compare("hopf", {}, F * g.coproduct(1),

@@ -563,13 +563,15 @@ def test_every_operation_stores_no_zero_and_nothing_above_n(name, rng):
     (1, 3, ((1.5, 0),)), (1, 3, ((0, 2.0),)), (1, 3, ((Fraction(1), 0),)),
     (1, 3, ((-1, 0),)), (1, 3, ((1, 0, 0),)), (1, 3, ((True, 0),)),
     (1, 2.5, ((0, 0),)), (1, 2.0, ((0, 0),)), (1, True, ((0, 0),)),
+    (1, 32768, ((0, 0),)),
     (True, 2, ((0, 0),)), (1.0, 2, ((0, 0),)), (2.0, 2, ((0, 0), (0, 0)))])
 def test_non_integer_or_negative_momentum_degree_rejected(legs, truncation,
                                                           key):
     # int() used to truncate 1.5 to 1 and let the term in; a bool is an
     # int subclass, so isinstance let True in as the degree 1.  The
     # truncation, the largest total momentum degree kept, and the leg
-    # count are checked alike
+    # count are checked alike; the truncation by the rule of build_twist,
+    # which refuses an order past MAX_DEGREE
     with pytest.raises(ValueError, match="bad momentum key|truncation order "
                                          "must be|legs must be between"):
         TensorElement(legs, truncation, {key: 1})

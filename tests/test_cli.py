@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from jortwist import cli, identities, twists
+from jortwist.borel import TensorElement, first_difference
 from jortwist.cli import element_from_dict, element_to_dict, element_to_text
 from jortwist.report import VerificationReport
 
@@ -184,6 +185,30 @@ class TestEveryDigit:
         with pytest.raises(SystemExit):
             cli.main(["expand", "--family", "L", "--order", "-1"])
         assert self.limit() == before
+
+    @pytest.mark.parametrize("write", [
+        lambda: twists.run_suite(["forms"], 2, u=10**5000),
+        lambda: [twists.check_form_equality("L", 2, 10**5000)],
+        lambda: first_difference(twists.build_twist("R", "twist", 2, 10**5000),
+                                 TensorElement.one(2, 2)),
+        lambda: element_to_text(twists.build_twist("R", "twist", 4, 10**5000)),
+    ], ids=["run_suite", "check", "first_difference", "element_to_text"])
+    def test_the_library_writes_every_digit(self, write):
+        # the writers lift the limit themselves, outside main, and leave it
+        # as they found it
+        before = self.limit()
+        written = write()
+        assert self.limit() == before
+        if isinstance(written, list):  # reports, each passing at u = 10^5000
+            assert all(rep.passed and rep.params["u"] == "1" + "0" * 5000
+                       for rep in written)
+
+    def test_a_written_element_past_the_limit_reads_back(self):
+        before = self.limit()
+        element = twists.build_twist("R", "twist", 4, 10**5000)
+        text = json.dumps(element_to_dict(element))
+        assert self.limit() == before
+        assert element_from_dict(json.loads(text)) == element
 
 
 @pytest.mark.parametrize("argv", [
@@ -431,6 +456,8 @@ class TestSerialization:
         (lambda d: d.update(legs=True), "legs: expected int"),
         (lambda d: d.pop("truncation"), "truncation: missing"),
         (lambda d: d.update(truncation=-1), "truncation: must be nonneg"),
+        (lambda d: d.update(truncation=32768),
+         "truncation must be an int in 0..32767, got 32768"),
         (lambda d: d.update(terms={}), "terms: expected list"),
         (lambda d: d["terms"].__setitem__(1, 7), "terms[1]: expected dict"),
         (lambda d: d["terms"][1]["legs"].pop(),
@@ -496,7 +523,6 @@ class TestSerialization:
             element_from_dict([])
 
     def test_text_of_zero(self):
-        from jortwist.borel import TensorElement
         assert element_to_text(TensorElement(1, 2)) == "0"
 
 

@@ -862,3 +862,41 @@ def test_run_suite_and_the_checks_refuse_a_u_that_is_not_exact(u):
             check("R", 2, u)
     with pytest.raises(ValueError, match="exact rational, got"):
         check_LR_relation(2, u)
+
+
+# A fault of the product kernel that acts grade by grade enters both sides
+# of the cocycle condition and the cross-check's per-order convolution
+# alike, so cocycle passes with its note reading "matches"; the checks
+# against a target built another way fail, at the grade the fault touches.
+# fault: (damage done to every product, that grade, the reports it fails)
+PRODUCT_FAULTS = {
+    "drops the top grade": (lambda r: r - r.grade_slice(r.truncation), 4,
+                            {"forms L", "forms R", "lr-relation",
+                             "v-family"}),
+    "doubles grade 2": (lambda r: r + r.grade_slice(2), 2,
+                        {"forms L", "forms R", "lr-relation", "v-family"}
+                        | {"hopf %s %s" % (family, generator)
+                           for family in "LR" for generator in "PQD"}),
+}
+
+
+@pytest.mark.parametrize("fault", list(PRODUCT_FAULTS))
+def test_a_product_fault_passes_cocycle_and_fails_the_targets(monkeypatch,
+                                                              fault):
+    damage, grade, failing = PRODUCT_FAULTS[fault]
+    product = borel.sum_of_products
+
+    def faulty(pairs):
+        return damage(product(pairs))
+
+    # the products of TensorElement and the cross-check's own binding
+    monkeypatch.setattr(borel, "sum_of_products", faulty)
+    monkeypatch.setattr(twists, "sum_of_products", faulty)
+    reports = run_suite(order=4)
+    failed = {" ".join(filter(None, (rep.check, rep.params.get("family"),
+                                     rep.params.get("generator")))):
+              rep.failure["grade"] for rep in reports if not rep.passed}
+    assert failed == dict.fromkeys(failing, grade)
+    cocycle_L, = [rep for rep in reports
+                  if rep.check == "cocycle" and rep.params["family"] == "L"]
+    assert cocycle_L.notes == ["per-order convolution decomposition matches"]
