@@ -30,15 +30,15 @@ class TensorElement:
     DPoly (in the per-leg dilatation variables) standing to their right.
     A stored term with total momentum degree g represents the operator
     times (1/kappa)^g.  Every operation returns through the constructor,
-    which alone drops zero coefficients and terms above the truncation.
+    which alone drops zero coefficients and terms above the truncation, and
+    refuses a leg count outside 1..MAX_LEGS, as DPoly.outer and
+    DPoly.split_variable do on a term: no operation checks one itself.
     """
 
     __slots__ = ("legs", "truncation", "terms")
 
     def __init__(self, legs, truncation, terms=None):
-        if type(legs) is not int or not 1 <= legs <= MAX_LEGS:
-            raise ValueError("legs must be between 1 and %d, got %r"
-                             % (MAX_LEGS, legs))
+        refuse_degree(legs, "legs", 1, MAX_LEGS)
         refuse_degree(truncation, "truncation order")
         self.legs = legs
         self.truncation = truncation
@@ -98,8 +98,7 @@ class TensorElement:
 
     def grade_slice(self, n):
         """The homogeneous part of kappa-grade n."""
-        if not 0 <= n <= self.truncation:
-            raise ValueError("grade out of range")
+        refuse_degree(n, "grade", 0, self.truncation)
         return TensorElement(self.legs, self.truncation,
                              {k: d for k, d in self.terms.items()
                               if _key_grade(k) == n})
@@ -140,9 +139,6 @@ class TensorElement:
         """Tensor product; legs concatenate, truncations must agree."""
         if self.truncation != other.truncation:
             raise ValueError("truncation mismatch in tensor product")
-        legs = self.legs + other.legs
-        if legs > MAX_LEGS:
-            raise ValueError("tensor product exceeds %d legs" % MAX_LEGS)
         N = self.truncation
         out = {}
         for ka, da in self.terms.items():
@@ -151,7 +147,7 @@ class TensorElement:
                 if ga + _key_grade(kb) > N:
                     continue  # the constructor would drop it; skip outer
                 out[ka + kb] = da.outer(db)
-        return TensorElement(legs, N, out)
+        return TensorElement(self.legs + other.legs, N, out)
 
     # -- Hopf structure ----------------------------------------------------
 
@@ -161,10 +157,7 @@ class TensorElement:
         P and Q are primitive; D splits into a sum of two fresh variables.
         The coproduct preserves the kappa-grade.
         """
-        if self.legs >= MAX_LEGS:
-            raise ValueError("coproduct would exceed %d legs" % MAX_LEGS)
-        if not 1 <= slot <= self.legs:
-            raise ValueError("slot out of range")
+        refuse_degree(slot, "slot", 1, self.legs)
         i = slot - 1
         out = {}
         for key, d in self.terms.items():
@@ -179,10 +172,7 @@ class TensorElement:
 
     def counit_contract(self, slot=1):
         """Apply the counit to one leg (D, P, Q all map to 0)."""
-        if self.legs < 2:
-            raise ValueError("counit contraction needs at least two legs")
-        if not 1 <= slot <= self.legs:
-            raise ValueError("slot out of range")
+        refuse_degree(slot, "slot", 1, self.legs)
         i = slot - 1
         return TensorElement(self.legs - 1, self.truncation,
                              {key[:i] + key[i + 1:]: d.drop_variable(slot)

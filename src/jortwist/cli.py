@@ -99,9 +99,7 @@ def element_from_dict(data):
             raise ValueError("unsupported schema version %r"
                              % data.get("schema"))
         legs = _field(data, "legs", int, "legs")
-        if not 1 <= legs <= MAX_LEGS:
-            raise ValueError("legs: must be between 1 and %d, got %d"
-                             % (MAX_LEGS, legs))
+        refuse_degree(legs, "legs", 1, MAX_LEGS)
         truncation = _field(data, "truncation", int, "truncation")
         refuse_degree(truncation, "truncation")
         terms = {}

@@ -31,13 +31,14 @@ MAX_DEGREE = _TOP - 1  # the largest exponent or u-degree a key holds
 _GUARD = 0x8000_8000_8000_8000
 
 
-def refuse_degree(n, what, low=0):
+def refuse_degree(n, what, low=0, high=MAX_DEGREE):
     """ValueError naming `what` unless n is an int, not a bool, in
-    low..MAX_DEGREE: the one rule for a truncation order or an index bound,
-    which becomes an exponent or u-degree of some key."""
-    if type(n) is not int or not low <= n <= MAX_DEGREE:
+    low..high: the one rule for every count the verifier takes.  An order,
+    bound, power or binomial index becomes an exponent or u-degree of some
+    key, hence the default high; a leg count, slot or grade has its own."""
+    if type(n) is not int or not low <= n <= high:
         raise ValueError("%s must be an int in %d..%d, got %r"
-                         % (what, low, MAX_DEGREE, n))
+                         % (what, low, high, n))
 
 
 class _EveryDigit:
@@ -91,9 +92,7 @@ class DPoly:
     def __init__(self, legs, terms=None):
         """From {exps: coefficient}, a coefficient being an exact rational
         (an int or a Fraction) or a UPoly."""
-        if type(legs) is not int or not 1 <= legs <= MAX_LEGS:
-            raise ValueError("legs must be between 1 and %d, got %r"
-                             % (MAX_LEGS, legs))
+        refuse_degree(legs, "legs", 1, MAX_LEGS)
         coefs = {}
         if terms:
             for exps, c in terms.items():
@@ -128,13 +127,12 @@ class DPoly:
         n, d = _ratio(value)
         return DPoly.from_num(legs, {0: n}, d)
 
-    @classmethod
-    def variable(cls, legs, index):
+    @staticmethod
+    def variable(legs, index):
         """The variable of leg `index` (1-based)."""
-        if not 1 <= index <= legs:
-            raise ValueError("variable index out of range")
-        exps = tuple(1 if i == index - 1 else 0 for i in range(legs))
-        return cls(legs, {exps: 1})
+        refuse_degree(legs, "legs", 1, MAX_LEGS)
+        refuse_degree(index, "variable index", 1, legs)
+        return DPoly.from_num(legs, {1 << _W * index: 1})
 
     @property
     def terms(self):
@@ -228,8 +226,7 @@ class DPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a DPoly")
+        refuse_degree(n, "power")
         res = DPoly.const(self.legs, 1)
         for _ in range(n):
             res = res * self
@@ -238,8 +235,7 @@ class DPoly:
     def outer(self, other):
         """The product in separate variables: self's legs, then other's."""
         legs = self.legs + other.legs
-        if legs > MAX_LEGS:
-            raise ValueError("outer product exceeds %d legs" % MAX_LEGS)
+        refuse_degree(legs, "legs", 1, MAX_LEGS)
         s = _W * (self.legs + 1)
         return self.dot(legs, [(self, DPoly.from_num(legs, {
             (k >> _W << s) + (k & _MASK): v for k, v in other.num.items()},
@@ -306,10 +302,8 @@ class DPoly:
 
         Variables after the slot are re-indexed; the result has one more leg.
         """
-        if not 1 <= slot <= self.legs:
-            raise ValueError("slot out of range")
-        if self.legs >= MAX_LEGS:
-            raise ValueError("cannot split beyond %d variables" % MAX_LEGS)
+        refuse_degree(slot, "slot", 1, self.legs)
+        refuse_degree(self.legs + 1, "legs", 1, MAX_LEGS)
         s = _W * slot
         acc = {}
         for key, v in self.num.items():
@@ -322,6 +316,7 @@ class DPoly:
     def drop_variable(self, slot):
         """The terms free of the slot variable, with that variable removed:
         the polynomial at x_slot = 0, on one leg fewer."""
+        refuse_degree(slot, "slot", 1, self.legs)
         s = _W * slot
         low = (1 << s) - 1  # the fields below the slot; those above move down
         return DPoly.from_num(self.legs - 1, {
@@ -330,6 +325,7 @@ class DPoly:
 
     def diagonal(self):
         """d(x, x, ...) of d(x, y, ...): y set equal to x, one leg fewer."""
+        refuse_degree(self.legs, "legs", 2, MAX_LEGS)
         acc = {}
         for key, v in self.num.items():
             k = (key & (1 << 2 * _W) - 1) + (key >> 2 * _W << _W)
@@ -394,8 +390,7 @@ class UPoly(DPoly):
         (an int or a Fraction)."""
         coeffs = coeffs or {}
         for deg in coeffs:
-            if type(deg) is not int or not 0 <= deg < _TOP:
-                raise ValueError("bad degree %r in UPoly" % (deg,))
+            refuse_degree(deg, "u-degree")
         self.legs = 0
         self.num, self.den = _over_lcm({deg: _ratio(c)
                                         for deg, c in coeffs.items()})
@@ -510,15 +505,15 @@ def _row(sh, e, s, c):
             if (t := math.comb(e, j) * s**j * c**(e - j))]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def binom_poly(T, k):
     """Binomial symbol with polynomial argument: T(T-1)...(T-k+1)/k!.
 
-    Memoised by (T, k), so the returned polynomial is shared between calls
-    and must not be mutated.
+    Memoised by (T, k) and their types, so the returned polynomial is
+    shared between calls and must not be mutated, and a bool or float k
+    never hits an int's entry.
     """
-    if k < 0:
-        raise ValueError("binomial lower index must be nonnegative")
+    refuse_degree(k, "binomial lower index")
     res = DPoly.const(T.legs, 1)
     for j in range(k):
         res = res * (T - j)

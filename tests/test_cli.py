@@ -452,7 +452,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("corrupt,field", [
         (lambda d: d.pop("legs"), "legs: missing"),
-        (lambda d: d.update(legs=4), "legs: must be between 1 and 3"),
+        (lambda d: d.update(legs=4), "legs must be an int in 1..3, got 4"),
         (lambda d: d.update(legs=True), "legs: expected int"),
         (lambda d: d.pop("truncation"), "truncation: missing"),
         (lambda d: d.update(truncation=-1), "truncation: must be nonneg"),

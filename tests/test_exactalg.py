@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -90,7 +91,9 @@ class TestBinomPoly:
     def test_negative_lower_index_raises_on_every_call(self):
         # a raised call is not memoised: the second call raises too
         for _ in range(2):
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match=re.escape(
+                    "binomial lower index must be an int in 0..32767, "
+                    "got -1")):
                 binom_poly(var(1, 1), -1)
 
 
@@ -309,12 +312,14 @@ class TestNoLegs:
                 assert type(r) is UPoly and r.legs == 0
 
     def test_dpoly_refuses_no_legs(self):
-        with pytest.raises(ValueError, match="legs must be between"):
+        with pytest.raises(ValueError, match=re.escape(
+                "legs must be an int in 1..3, got 0")):
             DPoly(0)
 
     @pytest.mark.parametrize("deg", [_TOP, True])
     def test_degree_beyond_the_field_or_a_bool_rejected(self, deg):
-        with pytest.raises(ValueError, match="bad degree"):
+        with pytest.raises(ValueError, match=re.escape(
+                "u-degree must be an int in 0..32767, got %r" % (deg,))):
             UPoly({deg: 1})
 
     def test_float_coefficient_rejected(self):
@@ -709,14 +714,15 @@ class TestCanonicalForm:
     (True, (0,)), (1.0, (0,)), (2.0, (0, 0))])
 def test_non_integer_or_negative_exponent_rejected(legs, exps):
     # the leg count, like each exponent, must be an int, not a bool
-    with pytest.raises(ValueError,
-                       match="bad exponent vector|legs must be between"):
+    with pytest.raises(ValueError, match="bad exponent vector|" + re.escape(
+            "legs must be an int in 1..3, got %r" % (legs,))):
         DPoly(legs, {exps: 1})
 
 
 @pytest.mark.parametrize("deg", [1.5, 2.0, Fraction(1), -1, True])
 def test_non_integer_or_negative_u_degree_rejected(deg):
-    with pytest.raises(ValueError, match="bad degree"):
+    with pytest.raises(ValueError, match=re.escape(
+            "u-degree must be an int in 0..32767, got %r" % (deg,))):
         UPoly({deg: 1})
 
 
