@@ -3,7 +3,7 @@ in ARGVS that exits 0 (`expand`, `identities` and `verify`, each with
 `--format json`, plus three `expand --format text` lines, which print each
 coefficient by str(UPoly)), and of each identity chain's instance sequence,
 every instance's (chain, params, str(lhs), str(rhs), equal) in order, for
-the L and R chains at bounds 0 to 3.
+the bigident suite and the L and R chains at bounds 0 to 3.
 
     PYTHONPATH=src python3 tests/golden.py
 
@@ -48,7 +48,7 @@ ARGVS = tuple(
         ["--check", "cocycle", "--family", "R", "--order", "6"],
         ["--check", "cocycle", "--family", "L", "--order", "7"],
         ["--check", "cocycle", "--order", "6", "--u", "2/7"])])
-CHAIN_BOUNDS = {"L": range(4), "R": range(4)}
+CHAIN_BOUNDS = {"bigident": range(4), "L": range(4), "R": range(4)}
 # The first words of the keys of each section of golden.json.
 SECTIONS = {"expand": ("expand",), "identities": ("identities", "instances"),
             "verify": ("verify",)}
