@@ -3,7 +3,8 @@
 Everything here lives in the commutative world: polynomials in x, y (and z
 for the three-leg identity) with rational coefficients.  Each identity is
 one canonical polynomial equality: both sides are canonical DPolys, so they
-agree exactly when lhs == rhs.  Every suite in SUITES is a generator: it
+agree exactly when lhs == rhs.  A side that sums over an index is one
+DPoly.dot over its terms, each split into two factors.  Every suite in SUITES is a generator: it
 yields its instances one at a time, each checked as it is built, and
 verify_identity_chain keeps only the count and the first failure.
 """
@@ -69,7 +70,7 @@ def verify_bigident(k, l, A, C):
       = binom(z, k-A) sum_{l1=0}^{C} binom(x, l-l1) binom(y,l1)
                   binom(y+z-l1+A-k, A) binom(l-l1, l-C).
     """
-    return _bigident("bigident", k, l, A, C, range(A + 1), range(C + 1))
+    return _bigident("bigident", k, l, A, C, slice(None), slice(None))
 
 
 # Unused by the suites (a reversed exact sum is equal); traced and tested.
@@ -80,30 +81,25 @@ def verify_bigident_index_swap(k, l, A, C):
     the summation really is insensitive to the interchange of indices.
     """
     return _bigident("bigident-swap", k, l, A, C,
-                     range(A, -1, -1), range(C, -1, -1))
+                     slice(None, None, -1), slice(None, None, -1))
 
 
 def _bigident(chain, k, l, A, C, k1s, l1s):
-    """The identity of verify_bigident, its sums run over k1s and l1s."""
-    if not (0 <= A <= k and 0 <= C <= l):
-        raise ValueError("need 0 <= A <= k and 0 <= C <= l")
+    """The identity of verify_bigident, its sums run over the slices k1s of
+    0..A and l1s of 0..C; each sum is one DPoly.dot."""
+    refuse_degree(k, "k")
+    refuse_degree(l, "l")
+    refuse_degree(A, "A", 0, k)
+    refuse_degree(C, "C", 0, l)
     x = DPoly.variable(3, 1)
     y = DPoly.variable(3, 2)
     z = DPoly.variable(3, 3)
-    lhs = DPoly(3)
-    for k1 in k1s:
-        lhs = lhs + (binom_poly(y, k1)
-                     * binom_poly(x + y - k1 + C - l, C)
-                     * int_binom(k - k1, k - A)
-                     * binom_poly(z, k - k1))
-    lhs = binom_poly(x, l - C) * lhs
-    rhs = DPoly(3)
-    for l1 in l1s:
-        rhs = rhs + (binom_poly(x, l - l1)
-                     * binom_poly(y, l1)
-                     * binom_poly(y + z - l1 + A - k, A)
-                     * int_binom(l - l1, l - C))
-    rhs = binom_poly(z, k - A) * rhs
+    lhs = binom_poly(x, l - C) * DPoly.dot(3, [
+        (binom_poly(y, k1) * binom_poly(z, k - k1) * int_binom(k - k1, k - A),
+         binom_poly(x + y - k1 + C - l, C)) for k1 in range(A + 1)[k1s]])
+    rhs = binom_poly(z, k - A) * DPoly.dot(3, [
+        (binom_poly(x, l - l1) * binom_poly(y, l1) * int_binom(l - l1, l - C),
+         binom_poly(y + z - l1 + A - k, A)) for l1 in range(C + 1)[l1s]])
     return _instance(chain, {"k": k, "l": l, "A": A, "C": C}, lhs, rhs)
 
 
@@ -151,17 +147,16 @@ def _chain_L_instances(bound):
 
     # Vandermonde-type convolution over k1 + k2 = k - k'
     for k, kp, l2 in pairs(r):
-        conv = conv_reflected = DPoly(2)
-        for k1 in range(k - kp + 1):
-            k2 = k - kp - k1
-            shared = binom_poly(-x - y + k2 + l2, k2)
-            conv = conv + binom_poly(x - 1 - k + k1, k1) * shared
-            conv_reflected = (conv_reflected
-                              + binom_poly(-x + k, k1) * shared * (-1) ** k1)
+        shared = [binom_poly(-x - y + k2 + l2, k2)  # k2 = k - k' - k1
+                  for k2 in range(k - kp, -1, -1)]
+        conv = DPoly.dot(2, [(binom_poly(x - 1 - k + k1, k1), s)
+                             for k1, s in enumerate(shared)])
         params = {"k": k, "k'": kp, "l2": l2}
         yield _instance("L4", params, conv,
                         binom_poly(-y - kp + l2, k - kp))
-        yield _instance("L4r", params, conv, conv_reflected)
+        yield _instance("L4r", params, conv, DPoly.dot(2, [
+            (binom_poly(-x + k, k1) * (-1) ** k1, s)
+            for k1, s in enumerate(shared)]))
 
     # second-leg trinomial revision, l = l1 + l2
     for kp, l1, l2 in product(r, r, r):
@@ -181,9 +176,9 @@ def _chain_L_instances(bound):
 
     # alternating convolution over l1 + l2 = l, eliminating y
     for k, l in product(r, r):
-        conv = sum((binom_poly(-y + l - k, l1)
-                    * binom_poly(-x - y + l - l1, l - l1) * (-1) ** l1
-                    for l1 in range(l + 1)), DPoly(2))
+        conv = DPoly.dot(2, [(binom_poly(-y + l - k, l1) * (-1) ** l1,
+                              binom_poly(-x - y + l - l1, l - l1))
+                             for l1 in range(l + 1)])
         yield _instance("L7", {"k": k, "l": l}, conv, binom_poly(-x + k, l))
 
     # final regrouping into the integer binomial
@@ -209,15 +204,13 @@ def _chain_R_instances(bound):
     r = range(bound + 1)
     for k, l in product(r, r):
         for kp in range(k + 1):
-            total = DPoly(2)
-            for k1, l1 in product(range(k - kp + 1), range(l + 1)):
-                k2, l2 = k - kp - k1, l - l1
-                total = total + (binom_poly(x, k1)
-                                 * binom_poly(y, l1)
-                                 * binom_poly(y - l1, kp)
-                                 * binom_poly(x + y - (kp + k1 + l1), k2 + l2)
-                                 * int_binom(k2 + l2, k2)
-                                 * (-1) ** (k1 + l1))
+            total = DPoly.dot(2, [
+                (binom_poly(x, k1) * binom_poly(y, l1)
+                 * binom_poly(y - l1, kp) * (-1) ** (k1 + l1),
+                 binom_poly(x + y - (kp + k1 + l1), k2 + l2)
+                 * int_binom(k2 + l2, k2))
+                for k1, l1 in product(range(k - kp + 1), range(l + 1))
+                for k2, l2 in [(k - kp - k1, l - l1)]])
             closed = (binom_poly(x, l) * binom_poly(y, k)
                       * int_binom(k, kp))
             yield _instance("R", {"k": k, "l": l, "k'": kp}, total, closed)

@@ -291,22 +291,25 @@ def check_cocycle(family, N, u=None):
     via_inverse = direction == "inverse"
     F = build_twist(family, direction, N, u)
     one1 = TensorElement.one(1, N)
-    notes = []
+    F1, DF = F.tensor(one1), F.coproduct(1)
     # (F (x) 1, (Delta (x) id)F) and (1 (x) F, (id (x) Delta)F), multiplied
     # in reverse order where F holds G = F^-1
     lhs, rhs = (b * a if via_inverse else a * b for a, b in (
-        (F.tensor(one1), F.coproduct(1)), (one1.tensor(F), F.coproduct(2))))
+        (F1, DF), (one1.tensor(F), F.coproduct(2))))
+    notes, convs = [], []
     if not via_inverse:
-        # cross-check the order-by-order convolution decomposition
-        left = [F.grade_slice(n).tensor(one1) for n in range(N + 1)]
-        right = [F.grade_slice(n).coproduct(1) for n in range(N + 1)]
-        decomposition_ok = all(
-            sum_of_products([(left[n - i], right[i]) for i in range(n + 1)])
-            == lhs.grade_slice(n) for n in range(N + 1))
-        notes.append("per-order convolution decomposition %s"
-                     % ("matches" if decomposition_ok else "DIFFERS"))
-    return _compare("cocycle", _params(family, N, u, via_inverse=via_inverse),
-                    lhs, rhs, notes)
+        # cross-check the order-by-order convolution decomposition on the
+        # slices of the left side's factors; a grade that differs fails
+        left, right = ([f.grade_slice(n) for n in range(N + 1)]
+                       for f in (F1, DF))
+        convs = [_compare("cocycle", {}, lhs.grade_slice(n), sum_of_products(
+            [(left[n - i], right[i]) for i in range(n + 1)]))
+            for n in range(N + 1)]
+        notes.append("per-order convolution decomposition %s" % (
+            "matches" if all(rep.passed for rep in convs) else "DIFFERS"))
+    return merge_reports("cocycle",
+                         _params(family, N, u, via_inverse=via_inverse),
+                         [_compare("cocycle", {}, lhs, rhs)] + convs, notes)
 
 
 def check_endpoints(family, N):

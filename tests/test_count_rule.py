@@ -1,6 +1,7 @@
-"""Every count the kernel, the element layer and the JSON reader take goes
-through `exactalg.refuse_degree`: a leg count, a slot, a variable index, a
-grade, a power, a u-degree and a binomial's lower index.  A value outside
+"""Every count the kernel, the element layer, the JSON reader and the
+three-leg identity take goes through `exactalg.refuse_degree`: a leg count,
+a slot, a variable index, a grade, a power, a u-degree, a binomial's lower
+index and the identity's k, l, A and C.  A value outside
 the count's range, a bool or a float raises a ValueError naming the count,
 before any work: no wrong result, no raw TypeError and no memoised entry
 of an equal int."""
@@ -10,6 +11,7 @@ import pytest
 from jortwist.borel import TensorElement
 from jortwist.cli import element_from_dict, element_to_dict
 from jortwist.exactalg import MAX_DEGREE, MAX_LEGS, DPoly, UPoly, binom_poly
+from jortwist.identities import verify_bigident, verify_bigident_index_swap
 
 x, xy, xyz = (DPoly.variable(legs, 1) for legs in (1, 2, 3))
 E1, E2, E3 = (TensorElement.one(legs, 3) for legs in (1, 2, 3))
@@ -52,6 +54,12 @@ COUNTS = [
     ("binom_poly lower index", binom_after_an_int, "binomial lower index", 0,
      MAX_DEGREE),
     ("reader legs", read_legs, "legs", 1, MAX_LEGS),
+    ("bigident k", lambda v: verify_bigident(v, 2, 0, 1), "k", 0, MAX_DEGREE),
+    ("bigident l", lambda v: verify_bigident(2, v, 1, 0), "l", 0, MAX_DEGREE),
+    ("bigident A", lambda v: verify_bigident(2, 2, v, 1), "A", 0, 2),
+    ("bigident C", lambda v: verify_bigident(2, 2, 1, v), "C", 0, 2),
+    ("index swap A", lambda v: verify_bigident_index_swap(2, 2, v, 1), "A", 0,
+     2),
 ]
 
 # the JSON reader refuses a bool or a float as a field of the wrong type

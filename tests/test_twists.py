@@ -269,6 +269,23 @@ class TestCocycle:
         assert min(n for n, ok in rep.grades.items() if not ok) == grade
         assert rep.failure["grade"] == grade
 
+    def test_differing_convolution_fails_the_report(self, monkeypatch,
+                                                    capsys):
+        # the sides multiply through borel's binding, the cross-check
+        # through twists': doubling only its sums leaves the sides equal,
+        # and every grade's convolution differs from the left side
+        product = twists.sum_of_products
+        monkeypatch.setattr(twists, "sum_of_products",
+                            lambda pairs: product(pairs).scale(2))
+        rep = check_cocycle("L", 3)
+        assert rep.to_dict()["status"] == "fail"
+        assert rep.grades == dict.fromkeys(range(4), False)
+        assert rep.failure["grade"] == 0
+        assert (rep.failure["left"], rep.failure["right"]) == ("1", "2")
+        assert rep.notes == ["per-order convolution decomposition DIFFERS"]
+        assert cli.main(["verify", "--check", "cocycle", "--family", "L",
+                         "--order", "3", "--format", "json"]) == 1
+
 
 class TestEndpoints:
     @pytest.mark.parametrize("family", ["L", "R"])
