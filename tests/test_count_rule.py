@@ -1,10 +1,9 @@
 """Every count the kernel, the element layer, the JSON reader and the
 three-leg identity take goes through `exactalg.refuse_degree`: a leg count,
 a slot, a variable index, a grade, a power, a u-degree, a binomial's lower
-index and the identity's k, l, A and C.  A value outside
-the count's range, a bool or a float raises a ValueError naming the count,
-before any work: no wrong result, no raw TypeError and no memoised entry
-of an equal int."""
+index and the identity's k, l, A and C.  A value outside the count's range,
+a bool or a float raises a ValueError naming the count, before any work: no
+wrong result, no raw TypeError and no memoised entry of an equal int."""
 
 import pytest
 

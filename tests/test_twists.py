@@ -269,8 +269,7 @@ class TestCocycle:
         assert min(n for n, ok in rep.grades.items() if not ok) == grade
         assert rep.failure["grade"] == grade
 
-    def test_differing_convolution_fails_the_report(self, monkeypatch,
-                                                    capsys):
+    def test_differing_convolution_fails_the_report(self, monkeypatch):
         # the sides multiply through borel's binding, the cross-check
         # through twists': doubling only its sums leaves the sides equal,
         # and every grade's convolution differs from the left side
