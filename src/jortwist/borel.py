@@ -198,15 +198,16 @@ class TensorElement:
         """
         if self.legs != 2:
             raise ValueError("fold_mul_antipode needs a 2-leg element")
-        out = {}
+        signs = (DPoly.const(1, 1), DPoly.const(1, -1))
+        collected = {}
         for ((a1, b1), (a2, b2)), d in self.terms.items():
             s = a2 + b2
             folded = d.substitute_linear([1, -1], [-s, s]).diagonal()
-            if s % 2:
-                folded = -folded
-            key = ((a1 + a2, b1 + b2),)
-            out[key] = out[key] + folded if key in out else folded
-        return TensorElement(1, self.truncation, out)
+            collected.setdefault(((a1 + a2, b1 + b2),), []).append(
+                (folded, signs[s % 2]))
+        return TensorElement(1, self.truncation,
+                             {key: DPoly.dot(1, pairs)
+                              for key, pairs in collected.items()})
 
     # -- parameter handling ------------------------------------------------
 
@@ -293,18 +294,11 @@ def series_apply(coeffs, a):
     """
     if not a.grade_slice(0).is_zero:
         raise ValueError("series argument must have minimum grade >= 1")
-    N = a.truncation
-    kmax = min(len(coeffs) - 1, N)
-    res = TensorElement.one(a.legs, N).scale(coeffs[0])
-    power = TensorElement.one(a.legs, N)
-    for k in range(1, kmax + 1):
-        power = power * a
-        if power.is_zero:
-            break
-        c = coeffs[k]
-        if c != 0:
-            res = res + power.scale(c)
-    return res
+    one = TensorElement.one(a.legs, a.truncation)
+    pairs = [(one, one.scale(coeffs[0]))]
+    for c in coeffs[1:a.truncation + 1]:
+        pairs.append((pairs[-1][0] * a, one.scale(c)))
+    return sum_of_products(pairs)
 
 
 def exp_series(a):

@@ -243,10 +243,15 @@ class DPoly:
 
     @staticmethod
     def dot(legs, pairs):
-        """Sum a * b over pairs (a, b) of DPolys, in ints over one lcm."""
+        """Sum a * b over pairs (a, b) of DPolys, in ints over one lcm.  A
+        factor on fewer than `legs` legs fits, as a UPoly does; one on more
+        is refused."""
         den = math.lcm(*[a.den * b.den for a, b in pairs])
         acc = {}
         for a, b in pairs:
+            if a.legs > legs or b.legs > legs:
+                raise ValueError("DPoly leg counts differ: %d vs %d"
+                                 % (legs, max(a.legs, b.legs)))
             f = den // (a.den * b.den)
             for k1, v1 in a.num.items():
                 v1 *= f

@@ -246,6 +246,47 @@ class TestSeries:
                 assert inv == series
                 assert e * inv == one(legs, n) == inv * e
 
+    def test_series_apply_is_the_naive_sum(self, rng):
+        """series_apply against sum_k c_k a^k built term by term with *,
+        scale and +, for coefficient lists shorter than, as long as and
+        longer than N + 1, with zero coefficients (coeffs[0] = 0 as in
+        log1p_series) and scalars that are ints, rationals and polynomials
+        in u, on arguments of minimum grade 1 and 2; the powers of the
+        latter vanish before N."""
+        def naive(coeffs, a):
+            res = TensorElement(a.legs, a.truncation)
+            power = one(a.legs, a.truncation)
+            for c in coeffs[:a.truncation + 1]:
+                res = res + power.scale(c)
+                power = power * a
+            return res
+
+        def scalar():
+            return rng.choice([0, rng.randint(-3, 3),
+                               Fraction(rng.randint(-3, 3), rng.randint(1, 5)),
+                               UPoly.u() * rng.randint(1, 3) - 1])
+
+        for legs in (1, 2):
+            for n in range(1, 7):
+                x = random_element(rng, legs, n, max_terms=3)
+                p = P(n) if legs == 1 else P(n).tensor(one(1, n))
+                grade_1 = x - x.grade_slice(0) + p
+                grade_2 = sum((x.grade_slice(g) for g in range(2, n + 1)),
+                              p * p)
+                for a in (grade_1, grade_2):
+                    for length in (1, n, n + 1, n + 3):
+                        coeffs = [scalar() for _ in range(length)]
+                        for c0 in (coeffs[0], 0):
+                            coeffs[0] = c0
+                            assert (series_apply(coeffs, a)
+                                    == naive(coeffs, a))
+        a = P(6).tensor(P(6))
+        assert (a * a * a * a).is_zero
+        coeffs = [Fraction(1, k + 1) for k in range(7)]
+        assert series_apply(coeffs, a) == naive(coeffs, a) == (
+            one(2, 6) + a.scale(Fraction(1, 2)) + (a * a).scale(Fraction(1, 3))
+            + (a * a * a).scale(Fraction(1, 4)))
+
     def test_exp_log_roundtrip_on_simple_element(self):
         a = P().scale(-1).tensor(one())
         assert exp_series(log1p_series(a)) == one(2) + a

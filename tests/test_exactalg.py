@@ -505,6 +505,18 @@ class TestIntegerKernel:
         a, b = self.random_poly(rng, 2), self.random_poly(rng, 2)
         assert DPoly.dot(2, [(a, b), (-a, b)]) == DPoly(2)
 
+    def test_dot_refuses_a_factor_on_more_legs(self):
+        """A factor on more legs than dot's count is refused, with the
+        message of `*`, on either side of any pair; one on fewer legs fits,
+        as a UPoly does, and `outer` relies on that."""
+        x, z = var(2, 1), var(3, 3)
+        for pairs_ in ([(x, z)], [(z, x)], [(x, x), (x, z)]):
+            with pytest.raises(ValueError,
+                               match="^DPoly leg counts differ: 2 vs 3$"):
+                DPoly.dot(2, pairs_)
+        assert var(1, 1).outer(var(2, 2)) == var(3, 1) * var(3, 3)
+        assert DPoly.dot(2, [(x, u()), (u(), x)]) == x * u() * 2
+
     def test_product_cancellation_leaves_no_zero(self):
         x = var(1, 1)
         p = (x + u()) * (x - u())
